@@ -3,16 +3,17 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-parallel bench-check experiments examples fmt vet clean check fuzz-smoke cover verify obs-smoke shard-smoke privtreed-smoke
+.PHONY: all build test race bench bench-parallel bench-check experiments examples fmt vet clean check fuzz-smoke cover verify obs-smoke shard-smoke privtreed-smoke perfbench-test
 
 all: build test
 
 # The full local gate, mirroring .github/workflows/ci.yml: build, vet,
 # race-enabled tests, the sharded-encode byte-identity smoke, the
-# privtreed daemon smoke, and a short parallel-benchmark smoke run (the
-# smoke writes its JSON to a scratch file so the committed
-# BENCH_parallel.json keeps its full-length numbers).
-check: build vet race obs-smoke shard-smoke privtreed-smoke
+# privtreed daemon smoke, the perfbench tests, and a short
+# parallel-benchmark smoke run (the smoke writes its JSON to a scratch
+# file so the committed BENCH_parallel.json keeps its full-length
+# numbers).
+check: build vet race obs-smoke shard-smoke privtreed-smoke perfbench-test
 	BENCH_OUT="$$(mktemp)" ./scripts/bench_parallel.sh 1x
 
 # Daemon smoke: start privtreed on an ephemeral port and prove the HTTP
@@ -44,6 +45,12 @@ test:
 build:
 	$(GO) build ./...
 
+# The end-to-end benchmark's own tests (mirror identity against the
+# privtree binary, statistics helpers, failure accounting). perfbench/
+# is a nested module, so `go test ./...` at the root skips it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 race:
 	$(GO) test -race ./...
 
@@ -74,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transform -run FuzzUnmarshalKey -fuzz FuzzUnmarshalKey -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run FuzzReadBinaryShard -fuzz FuzzReadBinaryShard -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/runs -run FuzzGroupClasses -fuzz FuzzGroupClasses -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run FuzzGuarantee -fuzz FuzzGuarantee -fuzztime $(FUZZTIME)
 
 # Coverage profile + per-package floor on the correctness-critical

@@ -30,7 +30,14 @@ import (
 var (
 	diffShardCounts = []int{1, 3, 14}
 	diffWorkers     = []int{1, 4, 32}
-	diffStrategies  = []struct {
+	// diffTreeConfigs steer the sharded miner's materialized subtrees
+	// into every criterion and into depth and leaf-size limits.
+	diffTreeConfigs = []TreeConfig{
+		{MinLeaf: 5},
+		{Criterion: tree.Entropy, MaxDepth: 6, MinLeaf: 2},
+		{Criterion: tree.GainRatio, MinLeaf: 3},
+	}
+	diffStrategies = []struct {
 		name string
 		opts EncodeOptions
 	}{
@@ -159,12 +166,14 @@ func TestDifferentialShardEquivalence(t *testing.T) {
 	const n = 600
 	const seed = 7
 	d := diffFixture(t, n)
-	cfg := TreeConfig{MinLeaf: 5}
-	direct, err := Mine(d, cfg)
-	if err != nil {
-		t.Fatal(err)
+	directBytes := make([][]byte, len(diffTreeConfigs))
+	for ci, cfg := range diffTreeConfigs {
+		direct, err := Mine(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		directBytes[ci] = treeJSON(t, direct)
 	}
-	directBytes := treeJSON(t, direct)
 
 	// In-memory encode references, one per strategy.
 	refKey := make([][]byte, len(diffStrategies))
@@ -198,15 +207,16 @@ func TestDifferentialShardEquivalence(t *testing.T) {
 		}{{"csv", csvManifest}, {"bin", binManifest}} {
 			for _, workers := range diffWorkers {
 				src := openDiff(t, format.manifest)
-				scfg := cfg
-				scfg.Workers = workers
-				mined, err := MineSharded(src, scfg)
-				if err != nil {
-					t.Fatalf("shards=%d %s workers=%d: %v", shards, format.name, workers, err)
-				}
-				if !bytes.Equal(treeJSON(t, mined), directBytes) {
-					t.Errorf("shards=%d %s workers=%d: sharded mine differs from in-memory",
-						shards, format.name, workers)
+				for ci, cfg := range diffTreeConfigs {
+					cfg.Workers = workers
+					mined, err := MineSharded(src, cfg)
+					if err != nil {
+						t.Fatalf("shards=%d %s workers=%d %+v: %v", shards, format.name, workers, cfg, err)
+					}
+					if !bytes.Equal(treeJSON(t, mined), directBytes[ci]) {
+						t.Errorf("shards=%d %s workers=%d %+v: sharded mine differs from in-memory",
+							shards, format.name, workers, cfg)
+					}
 				}
 				for si, strat := range diffStrategies {
 					opts := strat.opts

@@ -19,12 +19,13 @@ import (
 //	trailer:  uint32 0xFFFFFFFF | uint32 totalRows
 //
 // All integers and floats are little-endian; float64 values are raw
-// IEEE-754 bits, so every value — including -0.0, NaN payloads and
-// subnormals — round-trips exactly, and reading costs a memcpy instead
-// of strconv.ParseFloat (the cost that dominates the CSV shard
-// profile). Labels are uint16 indices into the manifest's ClassNames,
-// which fixes the label order globally exactly like the CSV shards'
-// class-name column does.
+// IEEE-754 bits, so every value — including -0.0 and subnormals —
+// round-trips exactly, and reading costs a memcpy instead of
+// strconv.ParseFloat (the cost that dominates the CSV shard profile).
+// NaN and ±Inf bits are the exception: the reader rejects them with
+// ErrNonFiniteValue, as every other reader does. Labels are uint16 indices
+// into the manifest's ClassNames, which fixes the label order globally
+// exactly like the CSV shards' class-name column does.
 //
 // The frame layout keeps both directions streaming: the writer never
 // seeks (the row count lives in the trailer, not the header) and the
@@ -243,7 +244,11 @@ func (r *binShardReader) loadFrame() error {
 		col := r.frame.Cols[a][:rows]
 		base := a * rows * 8
 		for i := 0; i < rows; i++ {
-			col[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[base+i*8:]))
+			v := math.Float64frombits(binary.LittleEndian.Uint64(body[base+i*8:]))
+			if !finite(v) {
+				return fmt.Errorf("shard %s row %d attribute %d: %w", r.path, r.read+i+1, a, ErrNonFiniteValue)
+			}
+			col[i] = v
 		}
 		r.frame.Cols[a] = col
 	}

@@ -57,9 +57,9 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("line %d has %d fields, want %d: %w", line, len(rec), len(header), ErrMalformedCSV)
 		}
 		for a := 0; a < len(attrs); a++ {
-			v, err := strconv.ParseFloat(rec[a], 64)
+			v, err := parseValue(rec[a])
 			if err != nil {
-				return nil, fmt.Errorf("line %d attribute %q: %w: %w", line, attrs[a], err, ErrMalformedCSV)
+				return nil, fmt.Errorf("line %d attribute %q: %w", line, attrs[a], err)
 			}
 			d.Cols[a] = append(d.Cols[a], v)
 		}
@@ -74,3 +74,20 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	}
 	return d, nil
 }
+
+// parseValue parses one attribute field of a CSV record. A field that
+// is not a number fails with ErrMalformedCSV; "NaN" and "Inf" parse as
+// floats but fail with ErrNonFiniteValue.
+func parseValue(field string) (float64, error) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", err, ErrMalformedCSV)
+	}
+	if !finite(v) {
+		return 0, fmt.Errorf("%q: %w", field, ErrNonFiniteValue)
+	}
+	return v, nil
+}
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return v-v == 0 }

@@ -94,7 +94,8 @@ func (d *Dataset) Clone() *Dataset {
 }
 
 // Validate checks the structural invariants of the dataset: consistent
-// column lengths, valid labels, and non-empty attribute metadata.
+// column lengths, valid labels, finite values, and non-empty
+// attribute metadata.
 func (d *Dataset) Validate() error {
 	if len(d.AttrNames) != len(d.Cols) {
 		return fmt.Errorf("attribute names and columns disagree: %w", ErrSchemaMismatch)
@@ -108,6 +109,13 @@ func (d *Dataset) Validate() error {
 	for i, l := range d.Labels {
 		if l < 0 || l >= len(d.ClassNames) {
 			return fmt.Errorf("tuple %d has label %d out of range: %w", i, l, ErrBadLabel)
+		}
+	}
+	for a, col := range d.Cols {
+		for i, v := range col {
+			if !finite(v) {
+				return fmt.Errorf("column %q tuple %d value %v: %w", d.AttrNames[a], i, v, ErrNonFiniteValue)
+			}
 		}
 	}
 	return d.validateCategorical()

@@ -2,6 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -296,5 +300,71 @@ func TestStatsEmpty(t *testing.T) {
 	s := d.Stats(0)
 	if s != (BasicStats{}) {
 		t.Errorf("empty stats = %+v", s)
+	}
+}
+
+// TestReadersRejectNonFinite checks that every way into a dataset — the
+// CSV readers, both shard formats and Validate — refuses a NaN or ±Inf
+// attribute value with ErrNonFiniteValue, and still accepts the largest
+// finite values. A tree over a non-finite value never finishes its
+// split scan.
+func TestReadersRejectNonFinite(t *testing.T) {
+	for _, field := range []string{"NaN", "Inf", "+Inf", "-Inf", "inf", "-infinity"} {
+		in := "a,b,class\n1,2,x\n3," + field + ",y\n"
+		if _, err := ReadCSV(strings.NewReader(in)); !errors.Is(err, ErrNonFiniteValue) {
+			t.Errorf("ReadCSV %s: err %v, want ErrNonFiniteValue", field, err)
+		}
+		src, err := NewCSVSource(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.Next(0); !errors.Is(err, ErrNonFiniteValue) {
+			t.Errorf("CSVSource %s: err %v, want ErrNonFiniteValue", field, err)
+		}
+	}
+	if _, err := ReadCSV(strings.NewReader("a,class\n1.5e308,x\n-1.7e308,y\n")); err != nil {
+		t.Errorf("ReadCSV large finite values: %v", err)
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := New([]string{"a", "b"}, []string{"x", "y"})
+		for i, row := range [][]float64{{1, 2}, {3, bad}} {
+			if err := d.Append(row, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Validate(); !errors.Is(err, ErrNonFiniteValue) {
+			t.Errorf("Validate %v: err %v, want ErrNonFiniteValue", bad, err)
+		}
+		for _, format := range []string{FormatCSV, FormatBin} {
+			prefix := filepath.Join(t.TempDir(), "bad")
+			var sink ShardSink
+			var err error
+			if format == FormatCSV {
+				sink, err = NewShardedCSVSink(prefix, 10, d.Schema())
+			} else {
+				sink, err = NewBinaryShardSink(prefix, 10, d.Schema())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Write(&Block{Cols: d.Cols, Labels: d.Labels}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			ss, err := OpenSharded(sink.ManifestPath())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for err == nil {
+				_, err = ss.Next(0)
+			}
+			ss.Close()
+			if err == io.EOF || !errors.Is(err, ErrNonFiniteValue) {
+				t.Errorf("%s shards %v: err %v, want ErrNonFiniteValue", format, bad, err)
+			}
+		}
 	}
 }

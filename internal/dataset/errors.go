@@ -35,4 +35,9 @@ var (
 	// ErrBadManifest so callers can tell "the description is wrong"
 	// from "the data on disk is damaged".
 	ErrCorruptShard = errors.New("dataset: corrupt shard file")
+	// ErrNonFiniteValue reports a NaN or ±Inf attribute value. NaN
+	// equals nothing, itself included, and a split between -Inf and
+	// +Inf has no finite midpoint, so the split search has no meaning
+	// for either; every reader and Validate reject them.
+	ErrNonFiniteValue = errors.New("dataset: non-finite attribute value")
 )

@@ -126,7 +126,7 @@ func FuzzReadBinaryShard(f *testing.F) {
 // sentinels of the binary shard reader.
 func requireTypedShardErr(t *testing.T, err error) {
 	t.Helper()
-	if !errors.Is(err, ErrCorruptShard) && !errors.Is(err, ErrBadManifest) {
+	if !errors.Is(err, ErrCorruptShard) && !errors.Is(err, ErrBadManifest) && !errors.Is(err, ErrNonFiniteValue) {
 		t.Fatalf("untyped error from binary shard reader: %v", err)
 	}
 }

@@ -57,14 +57,21 @@ func PutProjScratch(s *ProjScratch) { projScratchPool.Put(s) }
 // ordering is identical to SortedProjection: ascending by value,
 // ties broken by label (Definition 6's canonical order).
 func (d *Dataset) SortedProjectionInto(a int, s *ProjScratch) []ProjectedTuple {
-	col := d.Cols[a]
-	n := len(col)
+	return s.SortPairs(d.Cols[a], d.Labels)
+}
+
+// SortPairs is SortedProjectionInto over loose parallel slices: the
+// pairs (values[i], labels[i]) are sorted by (value, label) in s's
+// buffers and the sorted slice (aliasing s) is returned. labels must
+// be at least as long as values.
+func (s *ProjScratch) SortPairs(values []float64, labels []int) []ProjectedTuple {
+	n := len(values)
 	if cap(s.proj) < n {
 		s.proj = make([]ProjectedTuple, n)
 	}
 	s.proj = s.proj[:n]
-	for i, v := range col {
-		s.proj[i] = ProjectedTuple{Value: v, Label: d.Labels[i]}
+	for i, v := range values {
+		s.proj[i] = ProjectedTuple{Value: v, Label: labels[i]}
 	}
 	s.sort()
 	return s.proj

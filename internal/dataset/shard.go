@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 )
 
 // The sharded layer: a relation instance split across multiple CSV
@@ -459,10 +458,10 @@ func (r *shardReader) next(max int, buf *Block) (*Block, error) {
 				r.path, r.read+1, len(rec), m+1, ErrMalformedCSV)
 		}
 		for a := 0; a < m; a++ {
-			v, err := strconv.ParseFloat(rec[a], 64)
+			v, err := parseValue(rec[a])
 			if err != nil {
-				return nil, fmt.Errorf("shard %s row %d attribute %q: %w: %w",
-					r.path, r.read+1, r.attrs[a], err, ErrMalformedCSV)
+				return nil, fmt.Errorf("shard %s row %d attribute %q: %w",
+					r.path, r.read+1, r.attrs[a], err)
 			}
 			buf.Cols[a] = append(buf.Cols[a], v)
 		}

@@ -221,9 +221,9 @@ func (s *CSVSource) Next(max int) (*Block, error) {
 			return nil, s.err
 		}
 		for a := 0; a < m; a++ {
-			v, err := strconv.ParseFloat(rec[a], 64)
+			v, err := parseValue(rec[a])
 			if err != nil {
-				s.err = fmt.Errorf("line %d attribute %q: %w: %w", s.line, s.schema.AttrNames[a], err, ErrMalformedCSV)
+				s.err = fmt.Errorf("line %d attribute %q: %w", s.line, s.schema.AttrNames[a], err)
 				return nil, s.err
 			}
 			s.buf.Cols[a] = append(s.buf.Cols[a], v)

@@ -73,7 +73,12 @@ func OrderedEach[T any](ctx context.Context, n, workers int, produce func(i int)
 	// released only when its result is consumed, bounding in-flight
 	// results to `workers`.
 	window := make(chan struct{}, workers)
+	// The dispatcher counts as a unit of wg too: its wg.Add calls then
+	// always happen while the counter is positive, never racing the
+	// deferred wg.Wait.
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for i := 0; i < n; i++ {
 			select {
 			case window <- struct{}{}:

@@ -1,6 +1,6 @@
 package runs
 
-import "sort"
+import "privtree/internal/dataset"
 
 // Class-count groups: the sufficient statistic of the decision-tree
 // split search. For one attribute, the groups record — per distinct
@@ -41,26 +41,30 @@ func (g ClassGroup) Rows() int {
 // GroupClasses builds the class-count groups of one attribute
 // projection: values[i] carries class labels[i], labels lie in
 // [0, nClasses). The input need not be sorted; the output is in
-// ascending value order.
+// ascending value order. The pairs sort in a pooled radix scratch, and
+// all groups' histograms share one exactly-sized counts arena.
 func GroupClasses(values []float64, labels []int, nClasses int) []ClassGroup {
 	if len(values) == 0 {
 		return nil
 	}
-	order := make([]int, len(values))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool { return values[order[x]] < values[order[y]] })
-	var out []ClassGroup
-	for _, i := range order {
-		v := values[i]
-		if n := len(out); n > 0 && out[n-1].Value == v {
-			out[n-1].Counts[labels[i]]++
-			continue
+	s := dataset.GetProjScratch()
+	defer dataset.PutProjScratch(s)
+	proj := s.SortPairs(values, labels)
+	distinct := 1
+	for i := 1; i < len(proj); i++ {
+		if proj[i].Value != proj[i-1].Value {
+			distinct++
 		}
-		c := make([]int, nClasses)
-		c[labels[i]]++
-		out = append(out, ClassGroup{Value: v, Counts: c})
+	}
+	out := make([]ClassGroup, distinct)
+	arena := make([]int, distinct*nClasses)
+	g := -1
+	for i, p := range proj {
+		if i == 0 || p.Value != proj[i-1].Value {
+			g++
+			out[g] = ClassGroup{Value: p.Value, Counts: arena[g*nClasses : (g+1)*nClasses : (g+1)*nClasses]}
+		}
+		out[g].Counts[p.Label]++
 	}
 	return out
 }
@@ -69,20 +73,65 @@ func GroupClasses(values []float64, labels []int, nClasses int) []ClassGroup {
 // ascending value order, as GroupClasses produces — into the groups of
 // the union of the shards. The merge is exact: counts are integers and
 // summing them is order-insensitive, so the result is element-identical
-// to GroupClasses over the concatenated projection.
+// to GroupClasses over the concatenated projection. A value's group
+// takes its Value from the first shard holding it. The merged
+// histograms share one exactly-sized counts arena: a first k-way pass
+// counts the distinct values, a second fills them.
 func MergeClassGroups(shards [][]ClassGroup) []ClassGroup {
-	return mergeRuns(shards, func(g ClassGroup) float64 { return g.Value }, combineClassGroups)
+	var live [][]ClassGroup
+	nClasses := 0
+	for _, sh := range shards {
+		if len(sh) > 0 {
+			live = append(live, sh)
+			nClasses = len(sh[0].Counts)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return append([]ClassGroup(nil), live[0]...)
+	}
+	n := mergeClassRuns(live, nil, nil, nClasses)
+	out := make([]ClassGroup, n)
+	mergeClassRuns(live, out, make([]int, n*nClasses), nClasses)
+	return out
 }
 
-// combineClassGroups merges two groups of the same value into a fresh
-// histogram (neither input is aliased or mutated).
-func combineClassGroups(x, y ClassGroup) ClassGroup {
-	c := make([]int, len(x.Counts))
-	copy(c, x.Counts)
-	for i, n := range y.Counts {
-		c[i] += n
+// mergeClassRuns walks the k-way merge of value-sorted runs and
+// returns the number of distinct values. With out non-nil it also
+// writes each value's group, summing its counts into arena.
+func mergeClassRuns(runs [][]ClassGroup, out []ClassGroup, arena []int, nClasses int) int {
+	pos := make([]int, len(runs))
+	for g := 0; ; g++ {
+		first := -1
+		var v float64
+		for r, run := range runs {
+			if pos[r] < len(run) && (first < 0 || run[pos[r]].Value < v) {
+				first, v = r, run[pos[r]].Value
+			}
+		}
+		if first < 0 {
+			return g
+		}
+		var counts []int
+		if out != nil {
+			counts = arena[g*nClasses : (g+1)*nClasses : (g+1)*nClasses]
+			out[g] = ClassGroup{Value: v, Counts: counts}
+		}
+		for r := first; r < len(runs); r++ {
+			run := runs[r]
+			if pos[r] >= len(run) || run[pos[r]].Value != v {
+				continue
+			}
+			if counts != nil {
+				for c, k := range run[pos[r]].Counts {
+					counts[c] += k
+				}
+			}
+			pos[r]++
+		}
 	}
-	return ClassGroup{Value: x.Value, Counts: c}
 }
 
 // FlipClassGroups rewrites groups in place into the groups of the

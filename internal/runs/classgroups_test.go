@@ -1,8 +1,11 @@
 package runs
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"privtree/internal/dataset"
@@ -128,4 +131,98 @@ func TestDescendingClassStringLessEdge(t *testing.T) {
 	if DescendingClassStringLess(groups) {
 		t.Fatal("single-value groups: strings are equal, want false")
 	}
+}
+
+// groupClassesOracle is the comparison-sort reference for GroupClasses:
+// sort the row indices by value, then open a fresh histogram per
+// distinct value.
+func groupClassesOracle(values []float64, labels []int, nClasses int) []ClassGroup {
+	if len(values) == 0 {
+		return nil
+	}
+	order := make([]int, len(values))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(x, y int) bool { return values[order[x]] < values[order[y]] })
+	var out []ClassGroup
+	for _, i := range order {
+		v := values[i]
+		if n := len(out); n > 0 && out[n-1].Value == v {
+			out[n-1].Counts[labels[i]]++
+			continue
+		}
+		c := make([]int, nClasses)
+		c[labels[i]]++
+		out = append(out, ClassGroup{Value: v, Counts: c})
+	}
+	return out
+}
+
+// sameGroups compares group runs by value equality (so -0 and +0,
+// which share a group, match either way) and exact counts.
+func sameGroups(got, want []ClassGroup) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].Value != want[i].Value || !reflect.DeepEqual(got[i].Counts, want[i].Counts) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzGroupClasses checks the radix, arena-backed GroupClasses and
+// MergeClassGroups against the comparison-sort oracle. The input is
+// read as 9-byte rows (8 bytes of float bits, 1 label byte; NaN rows
+// are dropped, as every reader drops them) and tiled reps times with
+// shifted labels, so short inputs still reach the radix path. The
+// tiled projection is cut into shards of shardRows rows for the merge.
+func FuzzGroupClasses(f *testing.F) {
+	row := func(v float64, label byte) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))
+		return append(b, label)
+	}
+	cat := func(rows ...[]byte) []byte {
+		var out []byte
+		for _, r := range rows {
+			out = append(out, r...)
+		}
+		return out
+	}
+	f.Add(cat(row(0, 0), row(math.Copysign(0, -1), 1), row(0, 1), row(-1, 0)), uint8(2), uint8(63), uint8(7))
+	f.Add(cat(row(3.5, 0), row(3.5, 1), row(3.5, 2)), uint8(3), uint8(100), uint8(50))
+	f.Add(cat(row(1, 0), row(2, 57), row(2, 199), row(-7, 130), row(1e300, 3)), uint8(200), uint8(60), uint8(13))
+	f.Add(row(42, 0), uint8(1), uint8(0), uint8(0))
+	f.Add(cat(row(math.Inf(1), 0), row(math.Inf(-1), 1), row(5e-324, 0), row(-5e-324, 1)), uint8(2), uint8(80), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, nClasses, reps, shardRows uint8) {
+		nc := int(nClasses)%250 + 1
+		var values []float64
+		var labels []int
+		for r := 0; r <= int(reps)%64; r++ {
+			for i := 0; i+9 <= len(data); i += 9 {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(data[i:]))
+				if v != v {
+					continue
+				}
+				values = append(values, v)
+				labels = append(labels, (int(data[i+8])+r)%nc)
+			}
+		}
+		want := groupClassesOracle(values, labels, nc)
+		got := GroupClasses(values, labels, nc)
+		if !sameGroups(got, want) {
+			t.Fatalf("GroupClasses over %d rows differs from the oracle:\n got %v\nwant %v", len(values), got, want)
+		}
+		step := int(shardRows)%97 + 1
+		var shards [][]ClassGroup
+		for lo := 0; lo < len(values); lo += step {
+			hi := min(lo+step, len(values))
+			shards = append(shards, GroupClasses(values[lo:hi], labels[lo:hi], nc))
+		}
+		if merged := MergeClassGroups(shards); !sameGroups(merged, want) {
+			t.Fatalf("MergeClassGroups of %d shards differs from the oracle:\n got %v\nwant %v", len(shards), merged, want)
+		}
+	})
 }

@@ -22,41 +22,32 @@ package runs
 // union of the shards. The result is element-identical to running
 // GroupValues over the concatenated, globally sorted projection.
 func MergeGroups(shards [][]ValueGroup) []ValueGroup {
-	return mergeRuns(shards, func(g ValueGroup) float64 { return g.Value }, combine)
-}
-
-// mergeRuns is the sorted-run merge core shared by the group algebras:
-// it folds value-sorted runs in run order, combining elements with
-// equal values. The combine functions are associative and commutative,
-// so the fold order only matters as determinism discipline, not for
-// the bytes produced.
-func mergeRuns[T any](shards [][]T, valueOf func(T) float64, combine func(T, T) T) []T {
-	var acc []T
+	var acc []ValueGroup
 	first := true
 	for _, sh := range shards {
 		if len(sh) == 0 {
 			continue
 		}
 		if first {
-			acc = append([]T(nil), sh...)
+			acc = append([]ValueGroup(nil), sh...)
 			first = false
 			continue
 		}
-		acc = mergeTwoRuns(acc, sh, valueOf, combine)
+		acc = mergeTwo(acc, sh)
 	}
 	return acc
 }
 
-// mergeTwoRuns merges two value-sorted runs.
-func mergeTwoRuns[T any](a, b []T, valueOf func(T) float64, combine func(T, T) T) []T {
-	out := make([]T, 0, len(a)+len(b))
+// mergeTwo merges two value-sorted runs of groups.
+func mergeTwo(a, b []ValueGroup) []ValueGroup {
+	out := make([]ValueGroup, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
-		case valueOf(a[i]) < valueOf(b[j]):
+		case a[i].Value < b[j].Value:
 			out = append(out, a[i])
 			i++
-		case valueOf(b[j]) < valueOf(a[i]):
+		case b[j].Value < a[i].Value:
 			out = append(out, b[j])
 			j++
 		default:

@@ -114,7 +114,10 @@ func TestConcurrentKeyStoreMutation(t *testing.T) {
 			defer wg.Done()
 			tenant := fmt.Sprintf("t%d", g%4) // tenants shared across goroutines
 			for i := 0; i < 20; i++ {
-				name := fmt.Sprintf("k%d", i%5)
+				// Tenants are shared, names are not: a goroutine only
+				// deletes its own keys, so its Get right after its Put
+				// must find the key.
+				name := fmt.Sprintf("g%d-k%d", g, i%5)
 				wire := []byte(fmt.Sprintf(`{"g":%d,"i":%d}`, g, i))
 				if _, err := st.Put(tenant, name, wire); err != nil {
 					t.Error(err)
@@ -129,7 +132,10 @@ func TestConcurrentKeyStoreMutation(t *testing.T) {
 					return
 				}
 				if i%7 == 0 {
-					_ = st.Delete(tenant, name) // racing deletes may ErrNoSuchKey; fine
+					if err := st.Delete(tenant, name); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}(g)

@@ -76,6 +76,7 @@ var statusTable = []struct {
 	{context.Canceled, statusClientClosedRequest},               // 499 (nginx convention)
 	{context.DeadlineExceeded, http.StatusGatewayTimeout},       // 504
 	{dataset.ErrMalformedCSV, http.StatusBadRequest},            // 400 — unreadable input
+	{dataset.ErrNonFiniteValue, http.StatusBadRequest},          // 400 — NaN or ±Inf in the input
 	{dataset.ErrBadManifest, http.StatusBadRequest},             // 400
 	{dataset.ErrNoAttributes, http.StatusBadRequest},            // 400
 	{dataset.ErrBadSplit, http.StatusBadRequest},                // 400

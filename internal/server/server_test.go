@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"privtree/internal/dataset"
 	"privtree/internal/pipeline"
@@ -407,6 +408,91 @@ func datasetCSV(t testing.TB, d *dataset.Dataset) string {
 	return buf.String()
 }
 
+// TestDecodeRejectsNonFinite is the regression for a NaN or ±Inf in a
+// decode body: mining over one once spun forever, so one request could
+// pin a core. Both mining paths of /v1/decode — the original rows, and
+// encoded rows to re-mine — must answer 400 promptly. A split between
+// huge finite values, whose sum overflows, must be answered promptly
+// too.
+func TestDecodeRejectsNonFinite(t *testing.T) {
+	const seed = 3
+	d, orig := testData(t, 300, seed)
+	wire, enc := refEncode(t, d, seed)
+	mined, err := tree.Build(mustDataset(t, string(enc)), tree.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	minedJSON, err := tree.Marshal(mined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Replace the first attribute value of the first two data rows.
+	with := func(csv, v1, v2 string) string {
+		var b strings.Builder
+		for i, line := range strings.SplitAfter(csv, "\n") {
+			if v := [3]string{"", v1, v2}; i == 1 || i == 2 {
+				line = v[i] + line[strings.IndexByte(line, ','):]
+			}
+			b.WriteString(line)
+		}
+		return b.String()
+	}
+	s := mustServer(t, Config{})
+	if rec := do(s, "PUT", "/v1/tenants/acme/keys/k", "", "", string(wire)); rec.Code != http.StatusCreated {
+		t.Fatalf("seeding key: status %d", rec.Code)
+	}
+	decode := func(name string, body map[string]any) *httptest.ResponseRecorder {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() { done <- do(s, "POST", "/v1/decode?key=k", "acme", "", string(b)) }()
+		select {
+		case rec := <-done:
+			return rec
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: decode still running after 10s", name)
+			return nil
+		}
+	}
+	for _, bad := range []string{"NaN", "+Inf", "-Inf"} {
+		for path, body := range map[string]map[string]any{
+			"orig_csv":    {"tree": json.RawMessage(minedJSON), "orig_csv": with(orig, bad, "1")},
+			"encoded_csv": {"encoded_csv": with(string(enc), bad, "1"), "orig_csv": orig},
+		} {
+			name := bad + " in " + path
+			rec := decode(name, body)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "non-finite") {
+				t.Errorf("%s: status %d body %s, want 400 naming the non-finite value", name, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	// The first attribute becomes 1.5e308 or 1.7e308 by class, so mining
+	// splits between two values whose sum overflows.
+	extreme := func(csv string) string {
+		lines := strings.SplitAfter(csv, "\n")
+		class := func(line string) string { return line[strings.LastIndexByte(line, ','):] }
+		for i := 1; i < len(lines) && lines[i] != ""; i++ {
+			v := "1.5e308"
+			if class(lines[i]) != class(lines[1]) {
+				v = "1.7e308"
+			}
+			lines[i] = v + lines[i][strings.IndexByte(lines[i], ','):]
+		}
+		return strings.Join(lines, "")
+	}
+	for path, body := range map[string]map[string]any{
+		"orig_csv":    {"tree": json.RawMessage(minedJSON), "orig_csv": extreme(orig)},
+		"encoded_csv": {"encoded_csv": extreme(string(enc)), "orig_csv": orig},
+	} {
+		name := "1.5e308/1.7e308 in " + path
+		if rec := decode(name, body); rec.Code >= 500 {
+			t.Errorf("%s: status %d body %s", name, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestOversizedRequest asserts the body cap maps to 413 — not to the
 // 400 the CSV reader would report for the truncated read.
 func TestOversizedRequest(t *testing.T) {
@@ -468,6 +554,7 @@ func TestStatusTable(t *testing.T) {
 		{ErrRateLimited, 429},
 		{dataset.ErrMalformedCSV, 400},
 		{dataset.ErrBadManifest, 400},
+		{dataset.ErrNonFiniteValue, 400},
 		{transform.ErrKeyVersion, 400},
 		{transform.ErrKeyMismatch, 422},
 		{transform.ErrAppendUnsafe, 422},

@@ -30,20 +30,15 @@ func Build(d *dataset.Dataset, cfg Config) (*Tree, error) {
 		d, flipped = canonicalOrientation(d)
 	}
 	sp := obs.StartSpan("mine/build")
-	b := newBuilder(d, cfg)
-	idx := make([]int, d.NumTuples())
-	for i := range idx {
-		idx[i] = i
-	}
-	root := b.grow(b.orders, idx, 0)
+	root, nodes, leaves := growTree(d, cfg, 0)
 	if flipped != nil {
 		unflip(root, flipped)
 	}
 	sp.End()
 	if obs.Enabled() {
 		obs.Add("tree.builds", 1)
-		obs.Add("tree.nodes", b.numNodes)
-		obs.Add("tree.leaves", b.numLeaves)
+		obs.Add("tree.nodes", nodes)
+		obs.Add("tree.leaves", leaves)
 	}
 	return &Tree{
 		Root:       root,
@@ -51,6 +46,21 @@ func Build(d *dataset.Dataset, cfg Config) (*Tree, error) {
 		ClassNames: append([]string(nil), d.ClassNames...),
 		Config:     cfg,
 	}, nil
+}
+
+// growTree grows the subtree over every tuple of d, rooted at depth
+// dep, and returns it with its node and leaf counts. d must already be
+// in the orientation the tree is mined in. Build grows the whole tree
+// through it from depth 0; BuildSharded grows each frontier node it
+// materializes through it at that node's depth.
+func growTree(d *dataset.Dataset, cfg Config, dep int) (root *Node, nodes, leaves int64) {
+	b := newBuilder(d, cfg)
+	idx := make([]int, d.NumTuples())
+	for i := range idx {
+		idx[i] = i
+	}
+	root = b.grow(b.orders, idx, dep)
+	return root, b.numNodes, b.numLeaves
 }
 
 // canonicalOrientation returns a view of d in which every attribute
@@ -270,6 +280,23 @@ func stopNode(cfg Config, counts []int, n, dep int) bool {
 	return nonzero <= 1 // pure node
 }
 
+// midpoint returns the threshold between adjacent distinct values
+// lo < hi: their mean, so that lo <= t < hi sends every tuple at lo
+// left and every tuple at hi right. The plain mean is kept whenever it
+// separates them, which is every pair but two: when lo+hi overflows,
+// the halves are added instead, and when lo and hi are adjacent floats
+// whose mean rounds up to hi, lo itself is the threshold.
+func midpoint(lo, hi float64) float64 {
+	t := (lo + hi) / 2
+	if math.IsInf(t, 0) {
+		t = lo/2 + hi/2
+	}
+	if t >= hi {
+		t = lo
+	}
+	return t
+}
+
 // split describes a candidate split and its tie-breaking features.
 type split struct {
 	attr      int
@@ -448,7 +475,7 @@ func (b *builder) attrBest(a int, order []int, idx []int, counts []int, parentIm
 		}
 		cand := split{
 			attr:      a,
-			threshold: (v + col[order[k]]) / 2,
+			threshold: midpoint(v, col[order[k]]),
 			gain:      gain,
 			boundary:  boundary,
 		}

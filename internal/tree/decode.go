@@ -160,7 +160,7 @@ func decodeNodeWithData(n *Node, key *transform.Key, d *dataset.Dataset, idx []i
 			return fmt.Errorf("tree: split on %s does not separate the original domain (max low %v >= min high %v)",
 				attrNameOf(d, n.Attr), maxLow, minHigh)
 		}
-		n.Threshold = (maxLow + minHigh) / 2
+		n.Threshold = midpoint(maxLow, minHigh)
 		if ak.Anti {
 			n.Left, n.Right = n.Right, n.Left
 		}
