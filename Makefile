@@ -82,6 +82,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dataset -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run FuzzReadBinaryShard -fuzz FuzzReadBinaryShard -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/runs -run FuzzGroupClasses -fuzz FuzzGroupClasses -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tree -run FuzzBuilderPresort -fuzz FuzzBuilderPresort -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run FuzzGuarantee -fuzz FuzzGuarantee -fuzztime $(FUZZTIME)
 
 # Coverage profile + per-package floor on the correctness-critical

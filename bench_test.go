@@ -180,14 +180,18 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 // BenchmarkMine measures decision-tree induction on the original data.
+// Throughput counts tuples mined per op.
 func BenchmarkMine(b *testing.B) {
-	d := benchData(b, 20000)
+	const rows = 20000
+	d := benchData(b, rows)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Mine(d, TreeConfig{MinLeaf: 5}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportRowsPerSec(b, rows)
 }
 
 // BenchmarkDecodeTree measures the custodian-side decode.

@@ -14,7 +14,8 @@ import (
 // non-reflective — pdqsort via slices.SortFunc for short columns, an
 // LSD radix sort on the IEEE-754 bit pattern for long ones. Both paths
 // produce the exact (Value, Label) order of Definition 6's canonical
-// tie-breaking.
+// tie-breaking. The same sort also serves the tree builder's presort,
+// through SortOrder, which returns tuple indices instead of pairs.
 
 // radixMinLen is the column length at which the radix sort takes over
 // from the comparison sort. Below it the O(n log n) comparison sort
@@ -65,34 +66,74 @@ func (d *Dataset) SortedProjectionInto(a int, s *ProjScratch) []ProjectedTuple {
 // buffers and the sorted slice (aliasing s) is returned. labels must
 // be at least as long as values.
 func (s *ProjScratch) SortPairs(values []float64, labels []int) []ProjectedTuple {
-	n := len(values)
+	s.resize(len(values))
+	for i, v := range values {
+		s.proj[i] = ProjectedTuple{Value: v, Label: labels[i]}
+	}
+	s.sort(false)
+	return s.proj
+}
+
+// SortOrder is the index-returning sibling of SortPairs: it fills
+// order with the tuple indices 0..len(values)-1 listed in SortPairs'
+// (value, label) order, ties between equal pairs in index order.
+// byLabel must hold the same indices stably sorted by label
+// (Dataset.LabelOrder); every column of one relation shares it, so the
+// label pass runs once per relation rather than once per column.
+// order must have len(values) elements.
+func (s *ProjScratch) SortOrder(values []float64, byLabel, order []int) {
+	s.resize(len(values))
+	// Tuple j carries its rank in byLabel as its label. Ranks are
+	// distinct and ascend with (label, index), so sorting by
+	// (value, rank) sorts by (value, label, index), and the ranks are
+	// already in label order: only the value passes remain.
+	for j, i := range byLabel {
+		s.proj[j] = ProjectedTuple{Value: values[i], Label: j}
+	}
+	s.sort(true)
+	for k, t := range s.proj {
+		order[k] = byLabel[t.Label]
+	}
+}
+
+// LabelOrder fills order with the tuple indices 0..NumTuples()-1
+// stably sorted by label: one counting sort over the class labels.
+// The labels must be valid (see Validate). order must have
+// NumTuples() elements.
+func (d *Dataset) LabelOrder(order []int) {
+	start := make([]int, d.NumClasses())
+	for _, l := range d.Labels {
+		start[l]++
+	}
+	pos := 0
+	for l, c := range start {
+		start[l] = pos
+		pos += c
+	}
+	for i, l := range d.Labels {
+		order[start[l]] = i
+		start[l]++
+	}
+}
+
+// resize makes s.proj n tuples long, reusing its buffer when it can.
+func (s *ProjScratch) resize(n int) {
 	if cap(s.proj) < n {
 		s.proj = make([]ProjectedTuple, n)
 	}
 	s.proj = s.proj[:n]
-	for i, v := range values {
-		s.proj[i] = ProjectedTuple{Value: v, Label: labels[i]}
-	}
-	s.sort()
-	return s.proj
 }
 
 // sort orders s.proj by (Value, Label), choosing the radix path for
 // long columns. Either path yields the same element sequence on
 // NaN-free data; tuples equal in both fields are indistinguishable, so
-// their internal order never matters.
-func (s *ProjScratch) sort() {
+// their internal order never matters. labelsSorted says s.proj is
+// already in ascending label order, so the radix path can skip its
+// label pass.
+func (s *ProjScratch) sort(labelsSorted bool) {
 	n := len(s.proj)
 	if n < radixMinLen {
-		slices.SortFunc(s.proj, func(x, y ProjectedTuple) int {
-			if x.Value < y.Value {
-				return -1
-			}
-			if x.Value > y.Value {
-				return 1
-			}
-			return x.Label - y.Label
-		})
+		s.sortCompare()
 		return
 	}
 	minL, maxL := s.proj[0].Label, s.proj[0].Label
@@ -115,18 +156,27 @@ func (s *ProjScratch) sort() {
 	// up the counting sort; they cannot arise from validated datasets
 	// (labels index ClassNames) but hand-built ones get the safe path.
 	if nan || maxL-minL+1 > n {
-		slices.SortFunc(s.proj, func(x, y ProjectedTuple) int {
-			if x.Value < y.Value {
-				return -1
-			}
-			if x.Value > y.Value {
-				return 1
-			}
-			return x.Label - y.Label
-		})
+		s.sortCompare()
 		return
 	}
-	s.sortRadix(minL, maxL-minL+1)
+	if !labelsSorted && minL < maxL {
+		s.sortLabels(minL, maxL-minL+1)
+	}
+	s.sortValues()
+}
+
+// sortCompare is the comparison path of sort: pdqsort by
+// (Value, Label).
+func (s *ProjScratch) sortCompare() {
+	slices.SortFunc(s.proj, func(x, y ProjectedTuple) int {
+		if x.Value < y.Value {
+			return -1
+		}
+		if x.Value > y.Value {
+			return 1
+		}
+		return x.Label - y.Label
+	})
 }
 
 // orderedBits maps a float64 to a uint64 whose unsigned order matches
@@ -144,43 +194,44 @@ func orderedBits(v float64) uint64 {
 	return b | 1<<63
 }
 
-// sortRadix sorts s.proj by (Value, Label): a stable counting sort on
-// the label (k buckets) establishes the tie order, then stable LSD
-// byte passes over the ordered value bits sort by value while
-// preserving it. Passes whose byte is constant across the column —
-// the common case for real data, whose values occupy a narrow slice
-// of the float range — are skipped.
-func (s *ProjScratch) sortRadix(minLabel, k int) {
-	n := len(s.proj)
-	if cap(s.swap) < n {
-		s.swap = make([]ProjectedTuple, n)
+// sortLabels is the radix path's first pass: a stable counting sort
+// of s.proj on the label (k buckets from minLabel), which establishes
+// the tie order the value passes preserve.
+func (s *ProjScratch) sortLabels(minLabel, k int) {
+	s.resizeSwap()
+	if cap(s.cnt) < k {
+		s.cnt = make([]int, k)
 	}
-	s.swap = s.swap[:n]
-	cur, alt := s.proj, s.swap
+	cnt := s.cnt[:k]
+	for i := range cnt {
+		cnt[i] = 0
+	}
+	for _, t := range s.proj {
+		cnt[t.Label-minLabel]++
+	}
+	pos := 0
+	for i, c := range cnt {
+		cnt[i] = pos
+		pos += c
+	}
+	for _, t := range s.proj {
+		b := t.Label - minLabel
+		s.swap[cnt[b]] = t
+		cnt[b]++
+	}
+	// Both buffers are scratch-owned, so swapping roles is free.
+	s.proj, s.swap = s.swap, s.proj
+}
 
-	if k > 1 {
-		if cap(s.cnt) < k {
-			s.cnt = make([]int, k)
-		}
-		cnt := s.cnt[:k]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for _, t := range cur {
-			cnt[t.Label-minLabel]++
-		}
-		pos := 0
-		for i, c := range cnt {
-			cnt[i] = pos
-			pos += c
-		}
-		for _, t := range cur {
-			b := t.Label - minLabel
-			alt[cnt[b]] = t
-			cnt[b]++
-		}
-		cur, alt = alt, cur
-	}
+// sortValues sorts s.proj by Value with stable LSD byte passes over
+// the ordered value bits, preserving the existing order among equal
+// values. Passes whose byte is constant across the column — the
+// common case for real data, whose values occupy a narrow slice of
+// the float range — are skipped.
+func (s *ProjScratch) sortValues() {
+	n := len(s.proj)
+	s.resizeSwap()
+	cur, alt := s.proj, s.swap
 
 	// One pass collects all eight byte histograms.
 	var hist [8][256]int
@@ -218,9 +269,15 @@ func (s *ProjScratch) sortRadix(minLabel, k int) {
 		}
 		cur, alt = alt, cur
 	}
-	// The sorted sequence must end up in s.proj; the buffers are both
-	// scratch-owned, so swapping roles is free.
-	if &cur[0] != &s.proj[0] {
-		s.proj, s.swap = cur, alt
+	// The sorted sequence must end up in s.proj.
+	s.proj, s.swap = cur, alt
+}
+
+// resizeSwap makes the ping-pong buffer as long as s.proj.
+func (s *ProjScratch) resizeSwap() {
+	n := len(s.proj)
+	if cap(s.swap) < n {
+		s.swap = make([]ProjectedTuple, n)
 	}
+	s.swap = s.swap[:n]
 }

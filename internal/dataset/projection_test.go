@@ -131,3 +131,37 @@ func TestSortedProjectionIntoAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSortOrderMatchesReference drives SortOrder's comparison and
+// radix paths against the reference ordering: the indices it returns
+// must list the reference (Value, Label) sequence, with equal pairs in
+// index order, and a warmed scratch must not allocate.
+func TestSortOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s ProjScratch
+	for _, n := range []int{1, 2, radixMinLen - 1, radixMinLen, radixMinLen + 1, 3000} {
+		for _, domain := range []int{1, 7, 1000} {
+			for _, k := range []int{1, 2, 7} {
+				d := randomDataset(t, rng, n, domain, k)
+				byLabel := make([]int, n)
+				d.LabelOrder(byLabel)
+				order := make([]int, n)
+				s.SortOrder(d.Cols[0], byLabel, order)
+				want := refSortedProjection(d, 0)
+				for j, i := range order {
+					got := ProjectedTuple{Value: d.Cols[0][i], Label: d.Labels[i]}
+					if got != want[j] {
+						t.Fatalf("n=%d domain=%d k=%d: [%d] = %+v, want %+v", n, domain, k, j, got, want[j])
+					}
+					if j > 0 && got == want[j-1] && order[j-1] > i {
+						t.Fatalf("n=%d domain=%d k=%d: equal pairs out of index order at %d", n, domain, k, j)
+					}
+				}
+				allocs := testing.AllocsPerRun(5, func() { s.SortOrder(d.Cols[0], byLabel, order) })
+				if allocs != 0 {
+					t.Errorf("n=%d: SortOrder allocates %.1f per call with warm scratch, want 0", n, allocs)
+				}
+			}
+		}
+	}
+}

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"privtree/internal/dataset"
 	"privtree/internal/obs"
 	"privtree/internal/parallel"
-	"privtree/internal/runs"
 )
 
 // Build mines a decision tree from d with the given configuration.
@@ -25,20 +25,25 @@ func Build(d *dataset.Dataset, cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("%w: %w", ErrEmptyData, dataset.ErrNoAttributes)
 	}
 	cfg = cfg.withDefaults()
+	sp := obs.StartSpan("mine/build")
+	psp := sp.Child("presort")
+	b := newBuilder(d, cfg)
 	var flipped []bool
 	if cfg.Orientation == OrientationCanonical {
-		d, flipped = canonicalOrientation(d)
+		flipped = b.orient()
 	}
-	sp := obs.StartSpan("mine/build")
-	root, nodes, leaves := growTree(d, cfg, 0)
+	psp.End()
+	gsp := sp.Child("grow")
+	root := b.grow(0, d.NumTuples(), 0)
+	gsp.End()
 	if flipped != nil {
 		unflip(root, flipped)
 	}
 	sp.End()
 	if obs.Enabled() {
 		obs.Add("tree.builds", 1)
-		obs.Add("tree.nodes", nodes)
-		obs.Add("tree.leaves", leaves)
+		obs.Add("tree.nodes", b.numNodes)
+		obs.Add("tree.leaves", b.numLeaves)
 	}
 	return &Tree{
 		Root:       root,
@@ -49,55 +54,103 @@ func Build(d *dataset.Dataset, cfg Config) (*Tree, error) {
 }
 
 // growTree grows the subtree over every tuple of d, rooted at depth
-// dep, and returns it with its node and leaf counts. d must already be
-// in the orientation the tree is mined in. Build grows the whole tree
-// through it from depth 0; BuildSharded grows each frontier node it
-// materializes through it at that node's depth.
+// dep, and returns it with its node and leaf counts, with the builder
+// Build runs. d must already be in the orientation the tree is mined
+// in: BuildSharded grows each frontier node it materializes through it
+// at that node's depth.
 func growTree(d *dataset.Dataset, cfg Config, dep int) (root *Node, nodes, leaves int64) {
 	b := newBuilder(d, cfg)
-	idx := make([]int, d.NumTuples())
-	for i := range idx {
-		idx[i] = i
-	}
-	root = b.grow(b.orders, idx, dep)
+	root = b.grow(0, d.NumTuples(), dep)
 	return root, b.numNodes, b.numLeaves
 }
 
-// canonicalOrientation returns a view of d in which every attribute
-// whose descending class string is lexicographically smaller than its
-// ascending one has been negated, plus the per-attribute flip flags.
+// orient puts the builder in canonical orientation: every numeric
+// attribute whose descending class string is lexicographically smaller
+// than its ascending one is negated, in a view of the data that
+// duplicates only the flipped columns, and the per-attribute flip
+// flags are returned. Both class strings are read off the presort, and
+// a flipped attribute's presort is turned round group by group.
 // Negation reverses the value order while preserving tie blocks, so the
 // flipped attribute's ascending class string is exactly the canonical
 // descending reading of the original.
-func canonicalOrientation(d *dataset.Dataset) (*dataset.Dataset, []bool) {
-	flipped := make([]bool, d.NumAttrs())
+func (b *builder) orient() []bool {
+	flipped := make([]bool, b.d.NumAttrs())
 	var view *dataset.Dataset
-	for a := 0; a < d.NumAttrs(); a++ {
-		if d.IsCategorical(a) {
+	for a, order := range b.orders {
+		if order == nil {
 			continue // category codes have no order to canonicalize
 		}
-		asc := runs.ClassStringOf(d, a)
-		desc := runs.ClassStringDescendingOf(d, a)
-		if !lexLess(desc, asc) {
+		col := b.d.Cols[a]
+		if !descendingLess(col, b.d.Labels, order) {
 			continue
 		}
 		flipped[a] = true
 		if view == nil {
-			// Shallow copy: only flipped columns are duplicated.
-			cp := *d
-			cp.Cols = append([][]float64(nil), d.Cols...)
+			cp := *b.d
+			cp.Cols = append([][]float64(nil), b.d.Cols...)
 			view = &cp
 		}
-		col := make([]float64, len(d.Cols[a]))
-		for i, v := range d.Cols[a] {
-			col[i] = -v
+		neg := make([]float64, len(col))
+		for i, v := range col {
+			neg[i] = -v
 		}
-		view.Cols[a] = col
+		view.Cols[a] = neg
+		reverseGroups(col, order)
 	}
-	if view == nil {
-		return d, flipped
+	if view != nil {
+		b.d = view
 	}
-	return view, flipped
+	return flipped
+}
+
+// descendingLess reports whether the descending class string of a
+// presorted column — its groups of equal values read back to front,
+// each group front to back (the canonical tie order) — is
+// lexicographically smaller than the ascending one, labels[order[i]].
+// It compares the two strings label by label without materializing
+// either.
+func descendingLess(col []float64, labels []int, order []int) bool {
+	end := len(order) // the descending reading's current group is [start, end)
+	start := groupStart(col, order, end)
+	j := start
+	for _, i := range order {
+		if j == end {
+			end = start
+			start = groupStart(col, order, end)
+			j = start
+		}
+		la, ld := labels[i], labels[order[j]]
+		if ld != la {
+			return ld < la
+		}
+		j++
+	}
+	return false
+}
+
+// groupStart returns the first position of the group of equal values
+// that ends just before position end of the order.
+func groupStart(col []float64, order []int, end int) int {
+	start := end - 1
+	for start > 0 && col[order[start-1]] == col[order[end-1]] {
+		start--
+	}
+	return start
+}
+
+// reverseGroups turns a presort round for the negated column: the
+// groups of equal values come in reverse order, each keeping its
+// internal (label, index) order.
+func reverseGroups(col []float64, order []int) {
+	slices.Reverse(order)
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && col[order[hi]] == col[order[lo]] {
+			hi++
+		}
+		slices.Reverse(order[lo:hi])
+		lo = hi
+	}
 }
 
 // unflip rewrites a tree mined in canonical orientation back into the
@@ -123,74 +176,81 @@ type builder struct {
 	cfg Config
 	// workers is the resolved fan-out width of the split search.
 	workers int
+	// idx holds every tuple index; a node owns a range [lo, hi) of it,
+	// in no particular order.
+	idx []int
 	// orders holds, per numeric attribute, every tuple index sorted by
 	// (value, label) — the SPRINT-style presort that lets split search
-	// scan attributes without re-sorting at every node. Categorical
-	// attributes keep a nil order.
+	// scan attributes without re-sorting at every node. A node owns
+	// the same range [lo, hi) of every order as of idx, and stable
+	// partitioning keeps each range sorted. Categorical attributes keep
+	// a nil order.
 	orders [][]int
-	// side is per-tuple scratch for stable list partitioning: the
-	// branch index each member of the current node goes to.
+	// side is per-tuple scratch for partitioning: the branch index each
+	// member of the current node goes to.
 	side []int32
-	// left and right are class-count scratch for the serial split scan;
-	// concurrent scans allocate their own.
-	left, right []int
+	// buf is the n-sized scratch partition scatters a range through;
+	// next holds its per-branch write cursors.
+	buf, next []int
+	// scan is the working memory of the serial split scan; concurrent
+	// scans allocate their own. bestSig holds the signature of the
+	// serial search's running best.
+	scan    scanScratch
+	bestSig []int
 	// numNodes and numLeaves count the grown tree for the observability
 	// layer. grow runs on a single goroutine (only split search inside a
 	// node fans out), so plain increments suffice.
 	numNodes, numLeaves int64
 }
 
-// newBuilder presorts the attribute orders once; split search then runs
-// in linear time per attribute per node.
+// newBuilder presorts the attribute orders once, with one radix sort
+// per numeric attribute over a label order all of them share; split
+// search then runs in linear time per attribute per node.
 func newBuilder(d *dataset.Dataset, cfg Config) *builder {
+	n := d.NumTuples()
 	b := &builder{
 		d:       d,
 		cfg:     cfg,
 		workers: parallel.ResolveWorkers(cfg.Workers),
-		side:    make([]int32, d.NumTuples()),
-		left:    make([]int, d.NumClasses()),
-		right:   make([]int, d.NumClasses()),
+		idx:     make([]int, n),
+		side:    make([]int32, n),
+		buf:     make([]int, n),
+		scan:    newScanScratch(d.NumClasses()),
 	}
+	for i := range b.idx {
+		b.idx[i] = i
+	}
+	byLabel := b.buf // free until the first partition
+	d.LabelOrder(byLabel)
+	s := dataset.GetProjScratch()
+	defer dataset.PutProjScratch(s)
 	b.orders = make([][]int, d.NumAttrs())
 	for a := range b.orders {
 		if d.IsCategorical(a) {
 			continue
 		}
-		order := make([]int, d.NumTuples())
-		for i := range order {
-			order[i] = i
-		}
-		col := d.Cols[a]
-		labels := d.Labels
-		sort.Slice(order, func(x, y int) bool {
-			ix, iy := order[x], order[y]
-			if col[ix] != col[iy] {
-				return col[ix] < col[iy]
-			}
-			return labels[ix] < labels[iy]
-		})
-		b.orders[a] = order
+		b.orders[a] = make([]int, n)
+		s.SortOrder(d.Cols[a], byLabel, b.orders[a])
 	}
 	return b
 }
 
-// grow recursively builds the subtree over the tuples in idx. lists[a]
-// holds the same subset in ascending (value, label) order of numeric
-// attribute a; the presort is maintained through stable partitioning, so
-// no node ever sorts.
-func (b *builder) grow(lists [][]int, idx []int, dep int) *Node {
+// grow recursively builds the subtree over the node's tuples, the range
+// [lo, hi) of idx and of every attribute order. The presort is
+// maintained through stable partitioning, so no node ever sorts.
+func (b *builder) grow(lo, hi, dep int) *Node {
 	counts := make([]int, b.d.NumClasses())
-	for _, i := range idx {
+	for _, i := range b.idx[lo:hi] {
 		counts[b.d.Labels[i]]++
 	}
 	b.numNodes++
 	node := &Node{Counts: counts, Class: argmax(counts)}
-	if b.stop(counts, len(idx), dep) {
+	if b.stop(counts, hi-lo, dep) {
 		node.Leaf = true
 		b.numLeaves++
 		return node
 	}
-	best, ok := b.bestSplit(lists, idx, counts)
+	best, ok := b.bestSplit(lo, hi, counts)
 	if !ok {
 		node.Leaf = true
 		b.numLeaves++
@@ -205,56 +265,74 @@ func (b *builder) grow(lists [][]int, idx []int, dep int) *Node {
 		for i, c := range best.cats {
 			pos[c] = int32(i)
 		}
-		for _, i := range idx {
+		for _, i := range b.idx[lo:hi] {
 			b.side[i] = pos[int(col[i])]
 		}
-		childLists, childIdx := b.partition(lists, idx, len(best.cats))
+		bounds := make([]int, len(best.cats)+1)
+		b.partition(lo, hi, bounds)
 		node.Branches = make([]*Node, len(best.cats))
 		for i := range node.Branches {
-			node.Branches[i] = b.grow(childLists[i], childIdx[i], dep+1)
+			node.Branches[i] = b.grow(bounds[i], bounds[i+1], dep+1)
 		}
 		return node
 	}
 	node.Threshold = best.threshold
-	for _, i := range idx {
+	for _, i := range b.idx[lo:hi] {
 		if col[i] <= best.threshold {
 			b.side[i] = 0
 		} else {
 			b.side[i] = 1
 		}
 	}
-	childLists, childIdx := b.partition(lists, idx, 2)
-	node.Left = b.grow(childLists[0], childIdx[0], dep+1)
-	node.Right = b.grow(childLists[1], childIdx[1], dep+1)
+	var bounds [3]int
+	b.partition(lo, hi, bounds[:])
+	node.Left = b.grow(bounds[0], bounds[1], dep+1)
+	node.Right = b.grow(bounds[1], bounds[2], dep+1)
 	return node
 }
 
-// partition filters idx and every attribute order stably into k children
-// according to the branch indices stored in b.side. Stability preserves
-// the (value, label) presort within every child.
-func (b *builder) partition(lists [][]int, idx []int, k int) (childLists [][][]int, childIdx [][]int) {
-	childIdx = make([][]int, k)
-	for _, i := range idx {
+// partition reorders the node's range [lo, hi) of idx and of every
+// attribute order stably into k = len(bounds)-1 consecutive child
+// ranges, by the branch indices stored in b.side, and sets child c's
+// range to [bounds[c], bounds[c+1]). Stability preserves the
+// (value, label) presort within every child.
+func (b *builder) partition(lo, hi int, bounds []int) {
+	k := len(bounds) - 1
+	clear(bounds)
+	for _, i := range b.idx[lo:hi] {
+		bounds[b.side[i]+1]++
+	}
+	bounds[0] = lo
+	for c := 1; c <= k; c++ {
+		bounds[c] += bounds[c-1]
+	}
+	if cap(b.next) < k {
+		b.next = make([]int, k)
+	}
+	b.next = b.next[:k]
+	b.scatter(b.idx[lo:hi], lo, bounds)
+	for _, order := range b.orders {
+		if order != nil {
+			b.scatter(order[lo:hi], lo, bounds)
+		}
+	}
+}
+
+// scatter stably reorders r, the range of an index array starting at
+// lo, by branch: each index goes to the next free slot of its child's
+// range (bounds, as partition sets them), through b.buf.
+func (b *builder) scatter(r []int, lo int, bounds []int) {
+	next := b.next
+	for c := range next {
+		next[c] = bounds[c] - lo
+	}
+	buf := b.buf[:len(r)]
+	for _, i := range r {
 		s := b.side[i]
-		childIdx[s] = append(childIdx[s], i)
+		buf[next[s]] = i
+		next[s]++
 	}
-	childLists = make([][][]int, k)
-	for c := range childLists {
-		childLists[c] = make([][]int, len(lists))
-	}
-	for a, order := range lists {
-		if order == nil {
-			continue
-		}
-		for c := range childLists {
-			childLists[c][a] = make([]int, 0, len(childIdx[c]))
-		}
-		for _, i := range order {
-			s := b.side[i]
-			childLists[s][a] = append(childLists[s][a], i)
-		}
-	}
-	return childLists, childIdx
+	copy(r, buf)
 }
 
 // stop reports whether a node must become a leaf before split search.
@@ -325,6 +403,17 @@ func (s *split) signature(branches ...[]int) {
 	}
 }
 
+// binarySignature is signature for the two children of a binary split,
+// without the general path's allocations: it orders the two count
+// vectors with one comparison and writes them into buf's storage,
+// returning the result.
+func binarySignature(buf, left, right []int) []int {
+	if lexLess(right, left) {
+		left, right = right, left
+	}
+	return append(append(buf[:0], left...), right...)
+}
+
 func lexLess(a, b []int) bool {
 	for i := range a {
 		if a[i] != b[i] {
@@ -366,8 +455,8 @@ func (s split) better(t split, eps float64) bool {
 // evaluated concurrently; the per-attribute winners are then reduced in
 // attribute order — the same order the serial loop visits them — so the
 // selected split is identical at any worker count.
-func (b *builder) bestSplit(lists [][]int, idx []int, counts []int) (split, bool) {
-	total := len(idx)
+func (b *builder) bestSplit(lo, hi int, counts []int) (split, bool) {
+	total := hi - lo
 	parentImp := b.cfg.Criterion.Impurity(counts, total)
 	m := b.d.NumAttrs()
 	if obs.Enabled() {
@@ -380,9 +469,8 @@ func (b *builder) bestSplit(lists [][]int, idx []int, counts []int) (split, bool
 		founds := make([]bool, m)
 		// fn never returns an error, so ForEach cannot fail.
 		_ = parallel.ForEach(context.Background(), m, b.workers, func(a int) error {
-			left := make([]int, len(counts))
-			right := make([]int, len(counts))
-			cands[a], founds[a] = b.attrBest(a, lists[a], idx, counts, parentImp, left, right)
+			sc := newScanScratch(len(counts))
+			cands[a], founds[a] = b.attrBest(a, lo, hi, counts, parentImp, &sc)
 			return nil
 		})
 		var best split
@@ -398,9 +486,12 @@ func (b *builder) bestSplit(lists [][]int, idx []int, counts []int) (split, bool
 	var best split
 	found := false
 	for a := 0; a < m; a++ {
-		if cand, ok := b.attrBest(a, lists[a], idx, counts, parentImp, b.left, b.right); ok {
+		if cand, ok := b.attrBest(a, lo, hi, counts, parentImp, &b.scan); ok {
 			if !found || cand.better(best, 1e-12) {
 				best = cand
+				// cand.sig may alias b.scan, which the next scan reuses.
+				b.bestSig = append(b.bestSig[:0], cand.sig...)
+				best.sig = b.bestSig
 				found = true
 			}
 		}
@@ -409,17 +500,20 @@ func (b *builder) bestSplit(lists [][]int, idx []int, counts []int) (split, bool
 }
 
 // attrBest returns attribute a's best candidate split over the node's
-// tuples, scanning the presorted list once for numeric attributes. left
-// and right are class-count scratch owned by the caller.
-func (b *builder) attrBest(a int, order []int, idx []int, counts []int, parentImp float64, left, right []int) (split, bool) {
+// tuples [lo, hi), scanning the presorted range once for numeric
+// attributes. sc is scratch owned by the caller; the signature of the
+// split returned may alias it.
+func (b *builder) attrBest(a, lo, hi int, counts []int, parentImp float64, sc *scanScratch) (split, bool) {
 	if b.d.IsCategorical(a) {
-		return b.categoricalSplit(idx, counts, a, parentImp)
+		return b.categoricalSplit(b.idx[lo:hi], counts, a, parentImp)
 	}
-	total := len(idx)
+	order := b.orders[a][lo:hi]
+	total := hi - lo
 	col := b.d.Cols[a]
 	labels := b.d.Labels
 	var best split
 	found := false
+	left, right := sc.left, sc.right
 	for c := range left {
 		left[c] = 0
 		right[c] = counts[c]
@@ -482,14 +576,32 @@ func (b *builder) attrBest(a int, order []int, idx []int, counts []int, parentIm
 		// The signature is only needed for tie comparisons; skip the
 		// copies when the candidate is not competitive.
 		if !found || cand.gain >= best.gain-1e-12 {
-			cand.signature(left, right)
+			cand.sig = binarySignature(sc.cand, left, right)
 			if !found || cand.better(best, 1e-12) {
 				best = cand
+				best.sig = append(sc.best[:0], cand.sig...)
 				found = true
 			}
 		}
 	}
 	return best, found
+}
+
+// scanScratch is the working memory of one attribute scan: the running
+// left and right class counts, and the signature buffers of the
+// current candidate and of the best split so far.
+type scanScratch struct {
+	left, right []int
+	cand, best  []int
+}
+
+func newScanScratch(classes int) scanScratch {
+	return scanScratch{
+		left:  make([]int, classes),
+		right: make([]int, classes),
+		cand:  make([]int, 0, 2*classes),
+		best:  make([]int, 0, 2*classes),
+	}
 }
 
 // groupPure reports whether the group of equal values starting at

@@ -31,7 +31,7 @@ import (
 //     whole relation, and identical inputs to the same float arithmetic
 //     give identical floats, thresholds, gains and tie-breaks.
 //   - Small frontier nodes are materialized and finished by the
-//     in-memory builder (growTree, the engine Build itself runs), which
+//     in-memory builder (growTree runs the builder Build runs), which
 //     mines the same subtree from the same rows.
 //
 // The canonical-orientation flip test compares ascending vs descending
@@ -64,9 +64,10 @@ import (
 // Measured on 20k covertype rows in 8 binary shards (a 2-core host,
 // GOMAXPROCS 2): the level-per-scan builder made 41 scans for the
 // depth-40 tree; the hybrid makes 10. In the end-to-end benchmark's
-// roundtrip-shard mine step (4 such relations), BuildSharded took
-// 0.17-0.20 s against 0.14 s for Build over the same rows (0.75 s
-// before), allocating 110 MB against Build's 72 MB (512 MB before).
+// roundtrip-shard mine step (4 such relations, seed 3), BuildSharded
+// took 0.16 s against 0.07 s for Build over the same rows (0.75 s
+// before the hybrid), and the step allocated 94 MB against 26 MB for
+// the in-memory mine step (512 MB before).
 //
 // Sharded sources carry no categorical metadata (shard files are all
 // numeric), so the categorical split path never triggers here.
