@@ -79,7 +79,8 @@ bench-check:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transform -run FuzzUnmarshalKey -fuzz FuzzUnmarshalKey -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dataset -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dataset -run '^FuzzReadCSV$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dataset -run FuzzReadCSVMatchesStdlib -fuzz FuzzReadCSVMatchesStdlib -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run FuzzReadBinaryShard -fuzz FuzzReadBinaryShard -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/runs -run FuzzGroupClasses -fuzz FuzzGroupClasses -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tree -run FuzzBuilderPresort -fuzz FuzzBuilderPresort -fuzztime $(FUZZTIME)

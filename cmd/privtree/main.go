@@ -214,7 +214,7 @@ func cmdEncode(args []string) (err error) {
 	if *manifest != "" {
 		return encodeSharded(*manifest, *out, *keyPath, opts, *seed, *chunk, *workers)
 	}
-	d, err := privtree.ReadCSVFile(*in)
+	d, err := readCSVFile(*in, *workers)
 	if err != nil {
 		return err
 	}
@@ -236,6 +236,7 @@ func cmdEncode(args []string) (err error) {
 		return err
 	}
 	sink := dataset.NewCSVSink(f, outSchema)
+	sink.Workers = *workers
 	if err := pipeline.ApplyStream(context.Background(), key, dataset.NewDatasetSource(d), sink, *chunk, *workers); err != nil {
 		f.Close()
 		return err
@@ -275,6 +276,7 @@ func encodeSharded(manifestPath, out, keyPath string, opts privtree.EncodeOption
 		return err
 	}
 	sink := dataset.NewCSVSink(f, outSchema)
+	sink.Workers = workers
 	if err := pipeline.ApplySharded(key, src, sink, chunk, workers); err != nil {
 		f.Close()
 		return err
@@ -296,6 +298,21 @@ func readOriginal(csvPath, manifestPath string) (*privtree.Dataset, error) {
 		return privtree.ReadShardedFile(manifestPath)
 	}
 	return privtree.ReadCSVFile(csvPath)
+}
+
+// readCSVFile is privtree.ReadCSVFile parsing on the command's
+// -workers (0 = default); the data set is the same at any setting.
+func readCSVFile(path string, workers int) (*privtree.Dataset, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	d, err := dataset.ReadCSVWorkers(f, workers)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return d, nil
 }
 
 // treeFlags registers the shared mining flags.
@@ -364,7 +381,7 @@ func cmdMine(args []string) (err error) {
 			return err
 		}
 	} else {
-		d, err := privtree.ReadCSVFile(*in)
+		d, err := readCSVFile(*in, *workers)
 		if err != nil {
 			return err
 		}

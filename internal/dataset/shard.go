@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -350,10 +349,8 @@ type rowReader interface {
 type shardReader struct {
 	f        *os.File
 	h        *xxh64
-	cr       *csv.Reader
+	src      CSVSource
 	path     string
-	attrs    []string
-	classes  map[string]int
 	declared int
 	want     string // manifest checksum; "" skips verification
 	read     int
@@ -373,115 +370,74 @@ func openShard(dir string, m *Manifest, classes map[string]int, i int) (rowReade
 	if m.EffectiveFormat() == FormatBin {
 		return newBinShardReader(f, path, len(m.AttrNames), len(m.ClassNames), m.Shards[i].Rows, m.Shards[i].Checksum)
 	}
-	h := newXXH64()
-	sc := csv.NewReader(io.TeeReader(f, h))
-	// Records are fully consumed before the next read, so the reader
-	// may reuse its record buffer.
-	sc.ReuseRecord = true
-	header, err := sc.Read()
+	r := &shardReader{f: f, h: newXXH64(), path: path, declared: m.Shards[i].Rows, want: m.Shards[i].Checksum}
+	r.src.c.w.r = io.TeeReader(f, r.h)
+	r.src.schema = &Schema{AttrNames: m.AttrNames}
+	r.src.class = func(name []byte) (int, error) {
+		if li, ok := classes[string(name)]; ok {
+			return li, nil
+		}
+		return 0, fmt.Errorf("class %q not in manifest: %w", name, ErrBadManifest)
+	}
+	header, err := readHeader(&r.src.c)
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("shard %s: reading header: %w: %w", path, err, ErrBadManifest)
+		r.abandon()
+		return nil, fmt.Errorf("shard %s: %w: %w", path, err, ErrBadManifest)
 	}
 	if len(header) != len(m.AttrNames)+1 || header[len(header)-1] != "class" {
-		f.Close()
+		r.abandon()
 		return nil, fmt.Errorf("shard %s: header has %d columns, manifest declares %d attributes: %w",
 			path, len(header), len(m.AttrNames), ErrBadManifest)
 	}
 	for a, name := range m.AttrNames {
 		if header[a] != name {
-			f.Close()
+			r.abandon()
 			return nil, fmt.Errorf("shard %s: header column %d is %q, manifest declares %q: %w",
 				path, a, header[a], name, ErrBadManifest)
 		}
 	}
-	return &shardReader{
-		f:        f,
-		h:        h,
-		cr:       sc,
-		path:     path,
-		attrs:    m.AttrNames,
-		classes:  classes,
-		declared: m.Shards[i].Rows,
-		want:     m.Shards[i].Checksum,
-	}, nil
+	return r, nil
 }
 
-// next fills buf with up to max tuples and returns it, or io.EOF once
-// the shard is exhausted and its row count verified. The block aliases
-// buf; it is valid until the next call.
-func (r *shardReader) next(max int, buf *Block) (*Block, error) {
-	if max <= 0 {
-		max = defaultBlockRows
-	}
-	m := len(r.attrs)
-	if cap(buf.Labels) < max || len(buf.Cols) != m {
-		buf.Labels = make([]int, 0, max)
-		buf.Cols = make([][]float64, m)
-		for a := range buf.Cols {
-			buf.Cols[a] = make([]float64, 0, max)
+// next serves up to max tuples, or io.EOF once the shard is exhausted
+// and its row count and checksum verified. The block is valid until
+// the next call.
+func (r *shardReader) next(max int, _ *Block) (*Block, error) {
+	blk, err := r.src.Next(max)
+	if err == io.EOF {
+		if r.read != r.declared {
+			return nil, fmt.Errorf("shard %s has %d rows, manifest declares %d: %w",
+				r.path, r.read, r.declared, ErrBadManifest)
 		}
-	}
-	buf.Labels = buf.Labels[:0]
-	for a := range buf.Cols {
-		buf.Cols[a] = buf.Cols[a][:0]
-	}
-	for len(buf.Labels) < max {
-		rec, err := r.cr.Read()
-		if err == io.EOF {
-			if len(buf.Labels) > 0 {
-				return buf, nil
-			}
-			if r.read != r.declared {
-				return nil, fmt.Errorf("shard %s has %d rows, manifest declares %d: %w",
-					r.path, r.read, r.declared, ErrBadManifest)
-			}
-			// The csv reader hit EOF, so every file byte has passed
-			// through the hash tee.
-			if r.want != "" {
-				want, err := parseChecksum(r.want)
-				if err != nil {
-					return nil, fmt.Errorf("shard %s: %w", r.path, err)
-				}
-				if got := r.h.Sum64(); got != want {
-					return nil, fmt.Errorf("shard %s: checksum %s, manifest declares %s: %w",
-						r.path, formatChecksum(got), r.want, ErrCorruptShard)
-				}
-			}
-			return nil, io.EOF
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard %s row %d: %w: %w", r.path, r.read+1, err, ErrMalformedCSV)
-		}
-		if len(rec) != m+1 {
-			return nil, fmt.Errorf("shard %s row %d has %d fields, want %d: %w",
-				r.path, r.read+1, len(rec), m+1, ErrMalformedCSV)
-		}
-		for a := 0; a < m; a++ {
-			v, err := parseValue(rec[a])
+		// The reader hit EOF, so every file byte has passed through the
+		// hash tee.
+		if r.want != "" {
+			want, err := parseChecksum(r.want)
 			if err != nil {
-				return nil, fmt.Errorf("shard %s row %d attribute %q: %w",
-					r.path, r.read+1, r.attrs[a], err)
+				return nil, fmt.Errorf("shard %s: %w", r.path, err)
 			}
-			buf.Cols[a] = append(buf.Cols[a], v)
+			if got := r.h.Sum64(); got != want {
+				return nil, fmt.Errorf("shard %s: checksum %s, manifest declares %s: %w",
+					r.path, formatChecksum(got), r.want, ErrCorruptShard)
+			}
 		}
-		li, ok := r.classes[rec[m]]
-		if !ok {
-			return nil, fmt.Errorf("shard %s row %d: class %q not in manifest: %w",
-				r.path, r.read+1, rec[m], ErrBadManifest)
-		}
-		buf.Labels = append(buf.Labels, li)
-		r.read++
-		if r.read > r.declared {
-			return nil, fmt.Errorf("shard %s has more than the declared %d rows: %w",
-				r.path, r.declared, ErrBadManifest)
-		}
+		return nil, io.EOF
 	}
-	return buf, nil
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: %w", r.path, err)
+	}
+	if r.read += blk.NumRows(); r.read > r.declared {
+		return nil, fmt.Errorf("shard %s has more than the declared %d rows: %w",
+			r.path, r.declared, ErrBadManifest)
+	}
+	return blk, nil
 }
 
 // close finishes a drained shard.
-func (r *shardReader) close() error { return r.f.Close() }
+func (r *shardReader) close() error { return r.abandon() }
 
 // abandon closes a shard that was not read to completion.
-func (r *shardReader) abandon() error { return r.f.Close() }
+func (r *shardReader) abandon() error {
+	r.src.c.release()
+	return r.f.Close()
+}

@@ -1,11 +1,10 @@
 package dataset
 
 import (
-	"encoding/csv"
+	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 )
 
 // classTracker resolves sink-schema label indices to manifest label
@@ -85,8 +84,9 @@ type ShardedCSVSink struct {
 
 	f       *os.File
 	h       *xxh64
-	cw      *csv.Writer
-	row     []string
+	w       *bufio.Writer
+	class   [][]byte // escaped class fields by label
+	buf     []byte
 	curRows int
 
 	shards  []ShardInfo
@@ -135,17 +135,16 @@ func (s *ShardedCSVSink) openShard() error {
 	}
 	s.f = f
 	s.h = newXXH64()
-	s.cw = csv.NewWriter(&hashingWriter{w: f, h: s.h})
+	s.w = bufio.NewWriter(&hashingWriter{w: f, h: s.h})
 	s.curRows = 0
-	header := append(append([]string(nil), s.schema.AttrNames...), "class")
-	return s.cw.Write(header)
+	_, err = s.w.Write(csvHeader(s.schema))
+	return err
 }
 
 // closeShard finishes the open shard file and records it in the
 // manifest's shard list.
 func (s *ShardedCSVSink) closeShard() error {
-	s.cw.Flush()
-	if err := s.cw.Error(); err != nil {
+	if err := s.w.Flush(); err != nil {
 		s.f.Close()
 		return err
 	}
@@ -158,7 +157,7 @@ func (s *ShardedCSVSink) closeShard() error {
 		Checksum: formatChecksum(s.h.Sum64()),
 	})
 	s.f = nil
-	s.cw = nil
+	s.w = nil
 	return nil
 }
 
@@ -169,26 +168,25 @@ func (s *ShardedCSVSink) Write(b *Block) error {
 	if len(b.Cols) != m {
 		return fmt.Errorf("block has %d columns, schema %d: %w", len(b.Cols), m, ErrSchemaMismatch)
 	}
-	if s.row == nil {
-		s.row = make([]string, m+1)
+	for _, label := range b.Labels {
+		if _, err := s.classes.resolve(label); err != nil {
+			return err
+		}
 	}
-	for i, label := range b.Labels {
+	s.class = classFields(s.class, s.schema.ClassNames)
+	for lo := 0; lo < b.NumRows(); {
 		if s.f == nil {
 			if err := s.openShard(); err != nil {
 				return err
 			}
 		}
-		for a := 0; a < m; a++ {
-			s.row[a] = strconv.FormatFloat(b.Cols[a][i], 'g', -1, 64)
-		}
-		if _, err := s.classes.resolve(label); err != nil {
+		hi := min(b.NumRows(), lo+s.rowsPerShard-s.curRows)
+		s.buf = appendCSVRows(s.buf[:0], b, lo, hi, s.class)
+		if _, err := s.w.Write(s.buf); err != nil {
 			return err
 		}
-		s.row[m] = s.schema.ClassNames[label]
-		if err := s.cw.Write(s.row); err != nil {
-			return err
-		}
-		s.curRows++
+		s.curRows += hi - lo
+		lo = hi
 		if s.curRows == s.rowsPerShard {
 			if err := s.closeShard(); err != nil {
 				return err

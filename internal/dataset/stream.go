@@ -1,10 +1,13 @@
 package dataset
 
 import (
-	"encoding/csv"
+	"bufio"
+	"context"
 	"fmt"
 	"io"
-	"strconv"
+
+	"privtree/internal/obs"
+	"privtree/internal/parallel"
 )
 
 // The streaming layer: a chunked Source/Sink pair that lets consumers
@@ -155,31 +158,30 @@ func (s *DatasetSource) Next(max int) (*Block, error) {
 // indices in order of first appearance, exactly like ReadCSV, so a
 // CSVSource drained into a Collector reproduces ReadCSV's dataset.
 type CSVSource struct {
-	cr      *csv.Reader
+	c       csvReader
 	schema  *Schema
-	classes map[string]int
-	line    int
-	buf     Block
-	err     error
+	classes classIndex
+	// class, when set, resolves class fields instead of classes (a CSV
+	// shard resolves them against its manifest).
+	class func(name []byte) (int, error)
+	buf   Block
+	err   error
 }
 
 // NewCSVSource prepares a streaming CSV reader; the header row is read
 // eagerly so Schema is available before the first block.
-func NewCSVSource(r io.Reader) (*CSVSource, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
+func NewCSVSource(r io.Reader) (*CSVSource, error) { return newCSVSource(r, csvWindow) }
+
+// newCSVSource is NewCSVSource over windows of the given size.
+func newCSVSource(r io.Reader, window int) (*CSVSource, error) {
+	s := &CSVSource{c: csvReader{w: windowReader{r: r, size: window}}}
+	header, err := readHeader(&s.c)
 	if err != nil {
-		return nil, fmt.Errorf("reading header: %w: %w", err, ErrMalformedCSV)
+		s.c.release()
+		return nil, err
 	}
-	if len(header) < 2 {
-		return nil, fmt.Errorf("need at least one attribute and a class column, got %d columns: %w", len(header), ErrMalformedCSV)
-	}
-	return &CSVSource{
-		cr:      cr,
-		schema:  &Schema{AttrNames: append([]string(nil), header[:len(header)-1]...)},
-		classes: map[string]int{},
-		line:    1,
-	}, nil
+	s.schema = &Schema{AttrNames: header[:len(header)-1]}
+	return s, nil
 }
 
 // Schema implements Source. ClassNames grows as blocks are read.
@@ -206,36 +208,32 @@ func (s *CSVSource) Next(max int) (*Block, error) {
 		s.buf.Cols[a] = s.buf.Cols[a][:0]
 	}
 	for len(s.buf.Labels) < max {
-		s.line++
-		rec, err := s.cr.Read()
+		rec, err := s.c.next()
 		if err == io.EOF {
 			s.err = io.EOF
+			s.c.release()
 			break
 		}
 		if err != nil {
-			s.err = fmt.Errorf("line %d: %w: %w", s.line, err, ErrMalformedCSV)
-			return nil, s.err
+			s.err = err
+			return nil, err
 		}
-		if len(rec) != m+1 {
-			s.err = fmt.Errorf("line %d has %d fields, want %d: %w", s.line, len(rec), m+1, ErrMalformedCSV)
-			return nil, s.err
-		}
-		for a := 0; a < m; a++ {
-			v, err := parseValue(rec[a])
-			if err != nil {
-				s.err = fmt.Errorf("line %d attribute %q: %w", s.line, s.schema.AttrNames[a], err)
-				return nil, s.err
+		li := 0
+		if err = parseRow(s.buf.Cols, rec, s.schema.AttrNames); err == nil {
+			if s.class != nil {
+				li, err = s.class(rec[m])
+			} else {
+				li = s.classes.intern(rec[m])
 			}
-			s.buf.Cols[a] = append(s.buf.Cols[a], v)
 		}
-		cls := rec[m]
-		li, ok := s.classes[cls]
-		if !ok {
-			li = len(s.schema.ClassNames)
-			s.classes[cls] = li
-			s.schema.ClassNames = append(s.schema.ClassNames, cls)
+		if err != nil {
+			s.err = fmt.Errorf("line %d: %w", s.c.line(), err)
+			return nil, s.err
 		}
 		s.buf.Labels = append(s.buf.Labels, li)
+	}
+	if s.class == nil {
+		s.schema.ClassNames = s.classes.names
 	}
 	if len(s.buf.Labels) == 0 {
 		return nil, io.EOF
@@ -246,59 +244,86 @@ func (s *CSVSource) Next(max int) (*Block, error) {
 // CSVSink writes blocks as CSV in the format of Dataset.WriteCSV: a
 // header row, attribute columns first, the class name last. It resolves
 // labels against the given schema at Write time, so it composes with a
-// streaming source whose ClassNames is still growing.
+// streaming source whose ClassNames is still growing. A Write that
+// fails writes nothing.
 type CSVSink struct {
-	cw     *csv.Writer
+	// Workers bounds the goroutines Write formats a block's rows on
+	// (<= 0 resolves through parallel.ResolveWorkers). The bytes are
+	// the same at any setting.
+	Workers int
+
+	w      *bufio.Writer
 	schema *Schema
-	row    []string
-	wrote  bool
+	class  [][]byte // escaped class fields by label; it only grows
+	wrote  bool     // the header is written
+	bufs   [][]byte // one reusable buffer per row range
 }
 
 // NewCSVSink returns a Sink writing to w under schema.
 func NewCSVSink(w io.Writer, schema *Schema) *CSVSink {
-	return &CSVSink{cw: csv.NewWriter(w), schema: schema}
+	return &CSVSink{w: bufio.NewWriter(w), schema: schema}
 }
 
-// Write implements Sink.
+// Write implements Sink. It checks every label before formatting, then
+// formats contiguous row ranges on up to Workers goroutines, each into
+// a buffer of its own, and writes the buffers in row order.
 func (s *CSVSink) Write(b *Block) error {
-	m := s.schema.NumAttrs()
-	if len(b.Cols) != m {
+	if m := s.schema.NumAttrs(); len(b.Cols) != m {
 		return fmt.Errorf("block has %d columns, schema %d: %w", len(b.Cols), m, ErrSchemaMismatch)
 	}
-	if !s.wrote {
-		s.wrote = true
-		header := append(append([]string(nil), s.schema.AttrNames...), "class")
-		if err := s.cw.Write(header); err != nil {
-			return err
-		}
-		s.row = make([]string, m+1)
-	}
-	for i, label := range b.Labels {
-		for a := 0; a < m; a++ {
-			s.row[a] = strconv.FormatFloat(b.Cols[a][i], 'g', -1, 64)
-		}
-		if label < 0 || label >= len(s.schema.ClassNames) {
+	s.class = classFields(s.class, s.schema.ClassNames)
+	for _, label := range b.Labels {
+		if label < 0 || label >= len(s.class) {
 			return fmt.Errorf("block label %d outside schema classes: %w", label, ErrBadLabel)
 		}
-		s.row[m] = s.schema.ClassNames[label]
-		if err := s.cw.Write(s.row); err != nil {
+	}
+	n := b.NumRows()
+	parts := parallel.Parts(n, parallel.ResolveWorkers(s.Workers))
+	for len(s.bufs) < parts {
+		s.bufs = append(s.bufs, nil)
+	}
+	format := func(r int) error {
+		lo, hi := parallel.Part(n, parts, r)
+		s.bufs[r] = appendCSVRows(s.bufs[r][:0], b, lo, hi, s.class)
+		return nil
+	}
+	if parts == 1 {
+		_ = format(0) // always nil; signature shared with the fan-out
+	} else {
+		// The units never fail and the context is never cancelled.
+		_ = parallel.ForEach(context.TODO(), parts, parts, format)
+	}
+	size := 0
+	for _, p := range s.bufs[:parts] {
+		if err := s.write(p); err != nil {
+			return err
+		}
+		size += len(p)
+	}
+	obs.Add("io.format_write.rows", int64(n))
+	obs.Add("io.format_write.bytes", int64(size))
+	return nil
+}
+
+// write writes p, after the header if nothing was written yet.
+func (s *CSVSink) write(p []byte) error {
+	if !s.wrote {
+		s.wrote = true
+		if _, err := s.w.Write(csvHeader(s.schema)); err != nil {
 			return err
 		}
 	}
-	return nil
+	_, err := s.w.Write(p)
+	return err
 }
 
 // Flush implements Sink. An empty stream still gets its header so the
 // output is a valid, readable CSV.
 func (s *CSVSink) Flush() error {
-	if !s.wrote {
-		s.wrote = true
-		if err := s.cw.Write(append(append([]string(nil), s.schema.AttrNames...), "class")); err != nil {
-			return err
-		}
+	if err := s.write(nil); err != nil {
+		return err
 	}
-	s.cw.Flush()
-	return s.cw.Error()
+	return s.w.Flush()
 }
 
 // Collector is a Sink that materializes the stream into a Dataset —

@@ -165,3 +165,67 @@ func TestOrderedEachEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOrderedStreamNextError checks an error from next is returned
+// only after every unit yielded before it is consumed, in order, and
+// that next is not called again.
+func TestOrderedStreamNextError(t *testing.T) {
+	boom := errors.New("source failed")
+	for _, workers := range []int{1, 2, 5} {
+		var calls, consumed int
+		next := func() (int, bool, error) {
+			calls++
+			if calls > 9 {
+				return 0, false, boom
+			}
+			return calls - 1, true, nil
+		}
+		err := OrderedStream(context.Background(), workers, next,
+			func(u int) (int, error) {
+				time.Sleep(time.Duration(rand.New(rand.NewSource(int64(u))).Intn(200)) * time.Microsecond)
+				return u, nil
+			},
+			func(v int) error {
+				if v != consumed {
+					return fmt.Errorf("consumed %d at position %d", v, consumed)
+				}
+				consumed++
+				return nil
+			})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err %v, want the source error", workers, err)
+		}
+		if consumed != 9 || calls != 10 {
+			t.Fatalf("workers=%d: consumed %d units in %d calls, want 9 in 10", workers, consumed, calls)
+		}
+	}
+}
+
+// TestOrderedStreamWindow checks next runs at most workers units ahead
+// of consume on a source of unknown length: fewer than workers units
+// wait for delivery, plus at most the one being consumed.
+func TestOrderedStreamWindow(t *testing.T) {
+	const n, workers = 100, 3
+	var yielded, consumed atomic.Int64
+	i := 0
+	next := func() (int, bool, error) {
+		if ahead := yielded.Load() - consumed.Load(); ahead > workers {
+			return 0, false, fmt.Errorf("next called with %d units in flight", ahead)
+		}
+		if i == n {
+			return 0, false, nil
+		}
+		i++
+		yielded.Add(1)
+		return i, true, nil
+	}
+	err := OrderedStream(context.Background(), workers, next,
+		func(u int) (int, error) { return u, nil },
+		func(int) error { consumed.Add(1); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if consumed.Load() != n {
+		t.Fatalf("consumed %d, want %d", consumed.Load(), n)
+	}
+}

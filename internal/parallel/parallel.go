@@ -159,6 +159,23 @@ func ForEachWorker(ctx context.Context, n, workers int, fn func(worker, i int) e
 	return ctx.Err()
 }
 
+// minPartLen is the fewest items Parts hands a goroutine of their
+// own: starting one costs more than a few hundred cheap items.
+const minPartLen = 512
+
+// Parts returns how many contiguous ranges a loop over n items splits
+// into on workers goroutines: one per worker, but never a range
+// shorter than minPartLen items, and always at least one.
+func Parts(n, workers int) int {
+	return max(min(workers, n/minPartLen), 1)
+}
+
+// Part returns the bounds [lo, hi) of range i when n items split into
+// parts contiguous ranges of near-equal length.
+func Part(n, parts, i int) (lo, hi int) {
+	return i * n / parts, (i + 1) * n / parts
+}
+
 // Seed derives the random seed of unit index under baseSeed. The
 // derivation is a SplitMix64 finalizer over the pair, so adjacent
 // indices (and adjacent base seeds) map to statistically independent

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"privtree/internal/dataset"
 	"privtree/internal/obs"
 	"privtree/internal/transform"
 )
@@ -73,5 +74,39 @@ func TestRecorderDoesNotChangeEncodeBytes(t *testing.T) {
 				t.Fatalf("%v workers=%d: no encode root span in %+v", strat, workers, snap.Spans)
 			}
 		}
+	}
+}
+
+// TestApplyStreamFormatWriteSpan checks a traced ApplyStream into a CSV
+// sink records io/format_write under encode/apply_stream, with the rows
+// and bytes it wrote.
+func TestApplyStreamFormatWriteSpan(t *testing.T) {
+	defer obs.Disable()
+	d := legacyWorkloads(t, 3000)["covertype"]
+	_, key, err := Encode(d, Options{}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	obs.Enable(reg)
+	var out bytes.Buffer
+	if err := ApplyStream(noCtx, key, dataset.NewDatasetSource(d), dataset.NewCSVSink(&out, d.Schema()), 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	obs.Disable()
+	snap := reg.Snapshot()
+	var saw bool
+	for _, sp := range snap.Spans {
+		saw = saw || sp.Path == "encode/apply_stream/io/format_write"
+	}
+	if !saw {
+		t.Fatalf("no encode/apply_stream/io/format_write span in %+v", snap.Spans)
+	}
+	header := bytes.IndexByte(out.Bytes(), '\n') + 1
+	if got := snap.Counters["io.format_write.rows"]; got != 3000 {
+		t.Errorf("io.format_write.rows = %d, want 3000", got)
+	}
+	if got := snap.Counters["io.format_write.bytes"]; got != int64(out.Len()-header) {
+		t.Errorf("io.format_write.bytes = %d, want %d", got, out.Len()-header)
 	}
 }

@@ -40,13 +40,13 @@ func OutputSchema(key *transform.Key, in *dataset.Schema) (*dataset.Schema, erro
 }
 
 // ApplyStream is the block-wise apply stage: it drains src, transforms
-// every attribute value of each block under key — fanning out per
-// attribute over workers goroutines within a block — and writes the
-// transformed blocks to sink. chunk bounds the tuples per block
-// (<= 0 for the source's default). Values are identical to Apply on the
-// materialized data set at any chunk size and worker count: the
-// per-value transform is pure, so neither blocking nor fan-out can
-// reorder or change anything.
+// every attribute value of each block under key and writes the
+// transformed blocks to sink. Each block fans out over up to workers
+// contiguous row ranges, and a range applies every attribute to its
+// rows. chunk bounds the tuples per block (<= 0 for the source's
+// default). Values are identical to Apply on the materialized data set
+// at any chunk size and worker count: the per-value transform is pure,
+// so neither blocking nor fan-out can reorder or change anything.
 //
 // ctx bounds the stream's lifetime: cancellation (a disconnected HTTP
 // client, a daemon shutting down) is observed between blocks, so a
@@ -77,16 +77,18 @@ func ApplyStream(ctx context.Context, key *transform.Key, src dataset.Source, si
 	}
 	pg := obs.StartProgress("encode/apply_stream", total)
 	defer pg.Close()
-	// The per-block transform closure is hoisted out of the loop and
-	// reads the current block through blk, so a long stream does not
-	// allocate a fresh closure (plus the pool's per-batch bookkeeping)
-	// for every chunk; with a single worker the pool is skipped
-	// entirely. Values are identical either way: ApplyColumn is pure
-	// and per-attribute.
-	var blk *dataset.Block
-	applyAttr := func(a int) error {
-		col := blk.Cols[a]
-		key.Attrs[a].ApplyColumn(col, col)
+	// The per-range closure is hoisted out of the loop and reads the
+	// current block through blk, so a long stream does not allocate a
+	// fresh closure per chunk; a one-range block skips the pool.
+	var (
+		blk   *dataset.Block
+		parts int
+	)
+	applyRange := func(r int) error {
+		lo, hi := parallel.Part(blk.NumRows(), parts, r)
+		for a, col := range blk.Cols {
+			key.Attrs[a].ApplyColumn(col[lo:hi], col[lo:hi])
+		}
 		return nil
 	}
 	for {
@@ -104,14 +106,18 @@ func ApplyStream(ctx context.Context, key *transform.Key, src dataset.Source, si
 		obs.Add("pipeline.stream.blocks", 1)
 		obs.Add("pipeline.stream.rows", int64(blk.NumRows()))
 		obs.Observe("pipeline.stream.block_rows", float64(blk.NumRows()))
-		if workers <= 1 {
-			for a := range blk.Cols {
-				_ = applyAttr(a) // always nil; signature shared with the fan-out
-			}
-		} else if err := parallel.ForEach(ctx, len(blk.Cols), workers, applyAttr); err != nil {
+		parts = parallel.Parts(blk.NumRows(), workers)
+		if parts == 1 {
+			_ = applyRange(0) // always nil; signature shared with the fan-out
+		} else if err := parallel.ForEach(ctx, parts, parts, applyRange); err != nil {
 			return &StageError{Stage: StageApply, Err: err}
 		}
-		if err := sink.Write(blk); err != nil {
+		// The sink turns the block into its bytes (a CSVSink formats
+		// row ranges on its own Workers) and writes them.
+		wsp := sp.Child("io/format_write")
+		err = sink.Write(blk)
+		wsp.End()
+		if err != nil {
 			return &StageError{Stage: StageApply, Err: err}
 		}
 		pg.Step(blk.NumRows())

@@ -67,6 +67,49 @@ func TestApplyStreamCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestApplyStreamRowRangesMatchApply runs blocks large enough to split
+// into row ranges, into a Collector and into a CSVSink formatting on
+// the same worker count, at several worker counts.
+func TestApplyStreamRowRangesMatchApply(t *testing.T) {
+	d := legacyWorkloads(t, 6000)["covertype-full"]
+	want, key, err := Encode(d, Options{Strategy: StrategyMaxMP}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantCSV bytes.Buffer
+	if err := want.WriteCSV(&wantCSV); err != nil {
+		t.Fatal(err)
+	}
+	outSchema, err := OutputSchema(key, d.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{0, 1500, 6000} {
+		for _, workers := range []int{1, 2, 7} {
+			col := dataset.NewCollector(outSchema)
+			if err := ApplyStream(noCtx, key, dataset.NewDatasetSource(d), col, chunk, workers); err != nil {
+				t.Fatal(err)
+			}
+			got, err := col.Dataset()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !want.Equal(got) {
+				t.Fatalf("chunk=%d workers=%d: streamed apply differs from Apply", chunk, workers)
+			}
+			var gotCSV bytes.Buffer
+			sink := dataset.NewCSVSink(&gotCSV, outSchema)
+			sink.Workers = workers
+			if err := ApplyStream(noCtx, key, dataset.NewDatasetSource(d), sink, chunk, workers); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantCSV.Bytes(), gotCSV.Bytes()) {
+				t.Fatalf("chunk=%d workers=%d: streamed CSV differs from WriteCSV", chunk, workers)
+			}
+		}
+	}
+}
+
 func TestOutputSchemaOpaqueCategories(t *testing.T) {
 	d := legacyWorkloads(t, 200)["covertype-full"]
 	_, key, err := Encode(d, Options{}, rand.New(rand.NewSource(1)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -41,8 +42,9 @@ type Config struct {
 	// Chunk is the tuples-per-block size of streamed responses
 	// (0 = the stream layer's default).
 	Chunk int
-	// Workers bounds the per-request encode fan-out (0 = resolve from
-	// PRIVTREE_WORKERS / GOMAXPROCS).
+	// Workers bounds the per-request fan-out of encoding and of CSV
+	// parsing and formatting (0 = resolve from PRIVTREE_WORKERS /
+	// GOMAXPROCS).
 	Workers int
 }
 
@@ -243,7 +245,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request, tenant str
 			return fmt.Errorf("tenant %q key %q (pass overwrite=1 to replace): %w", tenant, keyName, ErrKeyExists)
 		}
 	}
-	d, err := dataset.ReadCSV(r.Body)
+	d, err := dataset.ReadCSVWorkers(r.Body, s.cfg.Workers)
 	if err != nil {
 		return err
 	}
@@ -267,7 +269,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request, tenant str
 	obs.Add("server.encode_rows", int64(d.NumTuples()))
 	if wantJSON {
 		var buf bytes.Buffer
-		if err := pipeline.ApplyStream(r.Context(), key, dataset.NewDatasetSource(d), dataset.NewCSVSink(&buf, outSchema), s.cfg.Chunk, s.cfg.Workers); err != nil {
+		if err := pipeline.ApplyStream(r.Context(), key, dataset.NewDatasetSource(d), s.csvSink(&buf, outSchema), s.cfg.Chunk, s.cfg.Workers); err != nil {
 			return err
 		}
 		return writeJSON(w, http.StatusOK, &encodeResponse{
@@ -284,12 +286,19 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request, tenant str
 	// From here on bytes are on the wire; an apply failure can only be
 	// a dead client (the transform itself is pure), so the error is
 	// counted and logged, not re-written as a status.
-	if err := pipeline.ApplyStream(r.Context(), key, dataset.NewDatasetSource(d), dataset.NewCSVSink(w, outSchema), s.cfg.Chunk, s.cfg.Workers); err != nil {
+	if err := pipeline.ApplyStream(r.Context(), key, dataset.NewDatasetSource(d), s.csvSink(w, outSchema), s.cfg.Chunk, s.cfg.Workers); err != nil {
 		obs.Add("server.stream_aborted", 1)
 		obs.Logger().Warn("encode: response stream aborted", "tenant", tenant, "err", err.Error())
 		return nil
 	}
 	return nil
+}
+
+// csvSink returns a CSV sink formatting on the server's worker count.
+func (s *Server) csvSink(w io.Writer, schema *dataset.Schema) *dataset.CSVSink {
+	sink := dataset.NewCSVSink(w, schema)
+	sink.Workers = s.cfg.Workers
+	return sink
 }
 
 // --- decode ---------------------------------------------------------
@@ -371,7 +380,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request, tenant str
 	if err != nil {
 		return err
 	}
-	orig, err := dataset.ReadCSV(strings.NewReader(req.OrigCSV))
+	orig, err := dataset.ReadCSVWorkers(strings.NewReader(req.OrigCSV), s.cfg.Workers)
 	if err != nil {
 		return fmt.Errorf("orig_csv: %w", err)
 	}
@@ -384,7 +393,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request, tenant str
 			return err
 		}
 	} else {
-		enc, err := dataset.ReadCSV(strings.NewReader(req.EncodedCSV))
+		enc, err := dataset.ReadCSVWorkers(strings.NewReader(req.EncodedCSV), s.cfg.Workers)
 		if err != nil {
 			return fmt.Errorf("encoded_csv: %w", err)
 		}
@@ -438,7 +447,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request, tenant str
 	if err != nil {
 		return err
 	}
-	d, err := dataset.ReadCSV(r.Body)
+	d, err := dataset.ReadCSVWorkers(r.Body, s.cfg.Workers)
 	if err != nil {
 		return err
 	}

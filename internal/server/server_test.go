@@ -509,6 +509,22 @@ func TestOversizedRequest(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestPastFirstWindow caps the body past the CSV
+// reader's first 256 KiB window, so the cap strikes while later windows
+// are read in parallel: the *http.MaxBytesError must still surface and
+// map to 413.
+func TestOversizedRequestPastFirstWindow(t *testing.T) {
+	_, csv1 := testData(t, 20000, 1)
+	if len(csv1) < 600<<10 {
+		t.Fatalf("body of %d bytes is too small", len(csv1))
+	}
+	s := mustServer(t, Config{MaxBody: 512 << 10})
+	rec := do(s, "POST", "/v1/encode?key=k", "", "", csv1)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413 (body: %s)", rec.Code, rec.Body.String())
+	}
+}
+
 // TestRateLimit asserts the per-tenant token bucket: a burst past
 // capacity gets 429 + Retry-After, and one tenant's burst does not
 // throttle another.
